@@ -4,9 +4,8 @@
 verb set:
 
 * ``TwigMEvaluator`` (one query, one machine) — single-query use is just an
-  engine with one subscription; the fused fast paths of
-  :mod:`repro.core.fastpath` are selected by the same rules as before, so
-  the facade adds no per-event cost;
+  engine with one subscription, which is also how ``TwigMEvaluator`` itself
+  evaluates; the facade adds no per-event cost;
 * ``MultiQueryEvaluator`` (indexed subscriptions) — :class:`Engine` wraps
   one (see :attr:`Engine.core`) and inherits its sharing machinery: shared
   compilation, shared machines, label dispatch.

@@ -8,7 +8,9 @@ continue a half-parsed document in another process:
   :class:`~repro.core.results.NodeRef`\\ s, satisfied-predicate sets,
   candidate solutions and accumulated text
   (:meth:`~repro.core.machine.TwigMachine.snapshot_stacks`);
-* per-runtime collectors, statistics and stream flags;
+* per-runtime collectors, statistics and stream flags (each runtime's
+  statistics carry the sink's document-level counters, which is how those
+  travel);
 * the engine's global element pre-order, subscription table and sharing
   structure (which subscriptions share which machine, and which machines
   are mid-stream-private);
@@ -17,7 +19,7 @@ continue a half-parsed document in another process:
   backend), or the raw chunk prefix that re-drives a fresh expat parser
   (expat backend — expat state cannot be serialized, so restoration
   *replays* the identical input with machine handlers disabled; see
-  :meth:`~repro.core.fastpath.FusedExpatMultiDriver.prime`).
+  :meth:`~repro.core.fastpath.ExpatSource.prime`).
 
 Machine *structure* never travels: queries are recompiled from their source
 text on restore, which is deterministic, so stack entries can reference
@@ -41,6 +43,7 @@ from .builder import shared_compiled_cache, shared_planner
 from .engine import TwigMEvaluator
 from .queryindex import FamilyRuntime, QueryRuntime, trie_path
 from .results import ResultCollector, solution_from_payload, solution_to_payload
+from .sink import DOCUMENT_COUNTERS
 from .statistics import EngineStatistics
 
 #: Format marker carried by every snapshot.
@@ -200,6 +203,7 @@ def engine_state(engine) -> Dict[str, Any]:
     runtimes = engine._index.runtimes
     runtime_index = {id(runtime): position for position, runtime in enumerate(runtimes)}
     shared_ids = {id(runtime) for runtime in engine._by_fingerprint.values()}
+    document = engine._sink.statistics
     runtime_payloads = []
     for runtime in runtimes:
         payload: Dict[str, Any] = {
@@ -207,6 +211,10 @@ def engine_state(engine) -> Dict[str, Any]:
             "shared": id(runtime) in shared_ids,
             "evaluator": evaluator_state(runtime.evaluator),
         }
+        statistics = payload["evaluator"].get("statistics")
+        if statistics is not None and document is not None:
+            for name in DOCUMENT_COUNTERS:
+                statistics[name] = getattr(document, name)
         if runtime.is_family:
             # A containment-shared family: the evaluator above is the anchor
             # machine; member shapes travel as (source, collector) pairs and
@@ -238,10 +246,10 @@ def engine_state(engine) -> Dict[str, Any]:
     return {
         "collect_statistics": engine._collect_statistics,
         "auto_name_counter": engine._auto_name_counter,
-        "element_order": engine._element_order,
+        "element_order": engine._sink.order,
         "started": engine._started,
         "finished": engine._finished,
-        "context": list(engine._index.context),
+        "context": list(engine._sink.context),
         "runtimes": runtime_payloads,
         "subscriptions": subscription_payloads,
     }
@@ -267,7 +275,6 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
     # the final flag assignment.
     auto_name_counter = state["auto_name_counter"]
     element_order = state["element_order"]
-    started = state["started"]
     finished = state["finished"]
     context = state.get("context", [])
     engine._collect_statistics = state["collect_statistics"]
@@ -346,10 +353,19 @@ def restore_engine_into(engine, state: Dict[str, Any]) -> None:
             shared_compiled_cache.release(runtime.compiled)
         raise
     engine._auto_name_counter = auto_name_counter
-    engine._element_order = element_order
-    engine._started = started
     engine._finished = finished
-    engine._index.context[:] = context
+    sink = engine._sink
+    sink.order = element_order
+    sink.context[:] = context
+    sink.statistics = EngineStatistics() if engine._collect_statistics else None
+    if sink.statistics is not None:
+        # Every runtime carries the same document-level counters.
+        for item in state["runtimes"]:
+            counters = item["evaluator"].get("statistics")
+            if counters is not None:
+                for name in DOCUMENT_COUNTERS:
+                    setattr(sink.statistics, name, counters.get(name, 0))
+                break
 
 
 # ---------------------------------------------------------------------------

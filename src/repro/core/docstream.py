@@ -43,21 +43,21 @@ over the retained window.
 from __future__ import annotations
 
 import base64
+import re
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import CheckpointError, EngineError
 from ..xmlstream.eventcodec import EventFrameDecoder, EventFrameEncoder
-from ..xmlstream.events import Event, StartElement
-from ..xmlstream.expat_backend import ExpatEventSource
 from ..xmlstream.reader import IncrementalByteDecoder
 from ..xmlstream.sax import PARSER_BACKENDS
-from ..xmlstream.tokenizer import StreamTokenizer
 from .checkpoint import encode_spool, engine_state, make_snapshot
 from .engine import TwigMEvaluator
-from .queryindex import QueryRuntime
+from .queryindex import QueryIndex, QueryRuntime
 from .results import Match, Solution
+from .session import StreamSession
+from .sink import ElementSink
 
 __all__ = [
     "DOCSTREAM_PARSER",
@@ -90,6 +90,13 @@ _S_DOCTYPE = 6  # inside <!DOCTYPE ... > (internal-subset aware)
 
 _WS = " \t\r\n"
 
+#: The characters that can change a tag's scan state: a quote opening an
+#: attribute value, or the closing ``>``.
+_TAG_STOP = re.compile("[\"'>]").search
+#: The characters that matter inside a DOCTYPE: internal-subset brackets
+#: and the closing ``>``.
+_DOCTYPE_STOP = re.compile(r"[\[\]>]").search
+
 
 class DocumentBoundaryScanner:
     """Incrementally split concatenated XML documents at root-close.
@@ -102,8 +109,9 @@ class DocumentBoundaryScanner:
     tags with quoted attribute values, comments, CDATA sections, processing
     instructions and DOCTYPE internal subsets — to know which ``>``
     characters count, and element depth to know which tag is the root's.
-    It never allocates per-element state, so scanning cost is a few
-    ``str.find`` calls per construct.
+    It never allocates per-element state, and never walks characters one
+    at a time: each construct costs a few ``str.find`` or compiled-regex
+    searches.
 
     Malformed content passes through untouched (the real parser reports
     it); only boundary placement is this class's job.
@@ -200,22 +208,24 @@ class DocumentBoundaryScanner:
             if state == _S_TAG:
                 quote = self._tag_quote
                 closed_at = -1
-                while pos < length:
-                    ch = text[pos]
+                while True:
                     if quote:
-                        if ch == quote:
-                            quote = ""
-                        pos += 1
+                        close = text.find(quote, pos, length)
+                        if close < 0:
+                            pos = length
+                            break
+                        quote = ""
+                        pos = close + 1
                         continue
-                    if ch == '"' or ch == "'":
-                        quote = ch
-                        pos += 1
-                        continue
-                    if ch == ">":
-                        closed_at = pos
-                        pos += 1
+                    stop = _TAG_STOP(text, pos, length)
+                    if stop is None:
+                        pos = length
                         break
-                    pos += 1
+                    pos = stop.end()
+                    if stop.group() == ">":
+                        closed_at = pos - 1
+                        break
+                    quote = stop.group()
                 if closed_at < 0:
                     self._tag_quote = quote
                     if not quote and pos > 0:
@@ -278,15 +288,19 @@ class DocumentBoundaryScanner:
                 continue
             # _S_DOCTYPE
             brackets = self._doctype_brackets
-            while pos < length:
-                ch = text[pos]
-                pos += 1
-                if ch == "[":
+            while True:
+                stop = _DOCTYPE_STOP(text, pos, length)
+                if stop is None:
+                    pos = length
+                    break
+                pos = stop.end()
+                char = stop.group()
+                if char == "[":
                     brackets += 1
-                elif ch == "]":
+                elif char == "]":
                     if brackets:
                         brackets -= 1
-                elif ch == ">" and not brackets:
+                elif not brackets:
                     state = _S_PROLOG
                     break
             self._doctype_brackets = brackets
@@ -377,7 +391,10 @@ class RetentionSpool:
     evicted (a replay subscriber needs it to splice into live delivery).
     Each document's frames come from a fresh
     :class:`~repro.xmlstream.eventcodec.EventFrameEncoder`, so every
-    retained document replays independently.
+    retained document replays independently.  The stream session tees the
+    element sink into that encoder, so the frames hold what the machines
+    consume — document, element and text records; comments and processing
+    instructions are not retained.
     """
 
     __slots__ = (
@@ -437,19 +454,32 @@ class RetentionSpool:
 
     # ------------------------------------------------------------ producing
 
-    def begin_document(self, doc_seq: int) -> None:
+    def begin_document(self, doc_seq: int) -> EventFrameEncoder:
+        """Open the in-progress document; returns its frame encoder.
+
+        The encoder is a record handler: the document stream tees the
+        element sink into it, and :meth:`add_frame` closes what it wrote.
+        """
         self._current = _SpoolEntry(doc_seq)
         self._encoder = EventFrameEncoder()
+        return self._encoder
 
-    def add_events(self, events: List[Event], element_count: int) -> None:
+    @property
+    def encoder(self) -> Optional[EventFrameEncoder]:
+        """The in-progress document's encoder (``None`` between documents)."""
+        return self._encoder
+
+    def add_frame(self, element_count: int) -> None:
+        """Close the records written to :attr:`encoder` into one frame."""
         current = self._current
-        if current is None or not events:
+        encoder = self._encoder
+        if current is None or encoder is None or not encoder.pending_records:
             return
-        assert self._encoder is not None
-        frame = self._encoder.encode(events)
+        frame = encoder.frame()
         current.frames.append(frame)
         current.byte_size += len(frame)
         current.element_count += element_count
+
 
     def seal_document(self) -> None:
         current = self._current
@@ -546,11 +576,12 @@ class RetentionSpool:
             spool._current = entry
             # The encoder's interning table must continue exactly where the
             # snapshotting process stopped.  The codec is deterministic, so
-            # re-encoding the decoded frames rebuilds the identical state.
+            # walking the frames through a fresh encoder rebuilds it.
             encoder = EventFrameEncoder()
             decoder = EventFrameDecoder()
             for frame in entry.frames:
-                encoder.encode(decoder.decode(frame))
+                decoder.walk(frame, encoder)
+                encoder.frame()
             spool._encoder = encoder
         return spool
 
@@ -673,7 +704,6 @@ class DocumentStreamSession:
         on_document: Optional[Callable[[int], None]] = None,
         on_error: str = "raise",
         resumable: bool = True,
-        live_sample_interval: int = 64,
         callback_adapter: Optional[
             Callable[[str, Callable[..., None]], Callable[[Solution], None]]
         ] = None,
@@ -695,28 +725,41 @@ class DocumentStreamSession:
                 "document_stream() needs a fresh engine position; call "
                 "engine.reset() first"
             )
+        self._setup(engine, parser, framing, encoding, window_documents, on_error, resumable)
+        self._on_window = on_window
+        self._on_document = on_document
+        self._callback_adapter = callback_adapter
+        if retain_documents is not None or retain_bytes is not None:
+            self._spool = RetentionSpool(
+                max_documents=retain_documents, max_bytes=retain_bytes
+            )
+
+    def _setup(
+        self,
+        engine: Any,
+        parser: str,
+        framing: str,
+        encoding: Optional[str],
+        window_documents: int,
+        on_error: str,
+        resumable: bool,
+    ) -> None:
+        """Every field at its start-of-stream value (``__init__`` and restore)."""
         self._engine = engine
         self.parser = parser
         self.framing = framing
         self._encoding = encoding
         self._resumable = resumable
         self._on_error = on_error
-        self._callback_adapter = callback_adapter
+        self._callback_adapter: Optional[Callable[..., Any]] = None
         self._scanner = DocumentBoundaryScanner() if framing == "auto" else None
         self._byte_decoder: Optional[IncrementalByteDecoder] = None
         self._frame_buffer = bytearray()
         self._frame_expected: Optional[int] = None
         self._spool: Optional[RetentionSpool] = None
-        if retain_documents is not None or retain_bytes is not None:
-            self._spool = RetentionSpool(
-                max_documents=retain_documents, max_bytes=retain_bytes
-            )
-        #: Per-document event source; None between documents.
-        self._source: Optional[Union[StreamTokenizer, ExpatEventSource]] = None
-        #: Raw text of the in-progress document (expat + resumable only):
-        #: expat parser state cannot be serialized, so mid-document
-        #: snapshots re-drive a fresh parser over this prefix.
-        self._doc_spool: Optional[List[str]] = None
+        #: The in-progress document's driver (the same per-document session
+        #: ``engine.session()`` opens); None between documents.
+        self._document: Optional[StreamSession] = None
         self._skipping = False
         self._closed = False
         self._failed = False
@@ -728,8 +771,8 @@ class DocumentStreamSession:
         self.bytes_fed = 0
         # Window bookkeeping.
         self.window_documents = window_documents
-        self._on_window = on_window
-        self._on_document = on_document
+        self._on_window: Optional[Callable[[WindowStats], None]] = None
+        self._on_document: Optional[Callable[[int], None]] = None
         self.windows: Deque[WindowStats] = deque(maxlen=64)
         self._window_index = 0
         self._window_started: Optional[float] = None
@@ -740,11 +783,6 @@ class DocumentStreamSession:
         self._window_peak_live = 0
         self._window_latencies: List[float] = []
         self._doc_busy = 0.0
-        #: Live stack entries are sampled every N start elements (plus at
-        #: every chunk boundary); N=1 is exact but costs one machine scan
-        #: per element.
-        self._sample_interval = max(1, live_sample_interval)
-        self._sample_countdown = self._sample_interval
 
     # ------------------------------------------------------------ properties
 
@@ -766,12 +804,12 @@ class DocumentStreamSession:
     @property
     def in_document(self) -> bool:
         """True while positioned inside a partially-fed document."""
-        return self._source is not None
+        return self._document is not None
 
     @property
     def elements(self) -> int:
         """Total start elements across all documents (current included)."""
-        return self.total_elements + self._engine._element_order
+        return self.total_elements + self._engine._sink.order
 
     @property
     def spool(self) -> Optional[RetentionSpool]:
@@ -807,6 +845,20 @@ class DocumentStreamSession:
 
     def feed_text(self, chunk: str) -> List[Match]:
         """Feed concatenated-document text; returns completed pairs."""
+        pairs: List[Match] = []
+        for segment_pairs in self.feed_segments(chunk):
+            pairs.extend(segment_pairs)
+        return pairs
+
+    def feed_segments(self, chunk: str) -> Iterator[List[Match]]:
+        """Feed text like :meth:`feed_text`, one boundary-split segment at a time.
+
+        The boundary scanner cuts ``chunk`` where documents end; each
+        segment's pairs are yielded as soon as it is processed, so a caller
+        that acts between documents (the server broadcasts every
+        document's ``eof``) reads :attr:`documents` and
+        :attr:`documents_failed` after each yield.
+        """
         self._check_open()
         if self._scanner is None:
             raise EngineError(
@@ -814,10 +866,10 @@ class DocumentStreamSession:
                 "length-framed (use feed_framed or feed_document)"
             )
         self.bytes_fed += len(chunk)
-        pairs: List[Match] = []
         for segment, completed in self._scanner.feed(chunk):
+            pairs: List[Match] = []
             self._process_segment(segment, completed, pairs)
-        return pairs
+            yield pairs
 
     def feed_bytes(self, chunk: bytes) -> List[Match]:
         """Feed concatenated-document bytes (UTF-8 or ``encoding``)."""
@@ -901,7 +953,7 @@ class DocumentStreamSession:
         else:
             tail = ""
         if (
-            self._source is not None
+            self._document is not None
             or tail
             or self._frame_buffer
             or self._frame_expected is not None
@@ -1004,28 +1056,30 @@ class DocumentStreamSession:
             name=name, source=source, runtime=runtime, callback=adapted
         )
         runtime.subscribers.append(subscription)
-        # Replay the retained window through the private machine.  The
-        # evaluator sees *every* event of each replayed document, so its own
-        # per-document pre-order counter reproduces the canonical solution
-        # identities the live engine injected at parse time.
+        # Replay the retained window through the private machine: the
+        # spool's frames walk into a sink whose index holds only this
+        # runtime.  The sink sees *every* record of each replayed document,
+        # so its pre-order reproduces the canonical solution identities the
+        # live sink assigned at parse time.
+        index = QueryIndex()
+        index.add(runtime)
+        sink = ElementSink(index, collect_statistics=False)
         pairs: List[Match] = []
         assert self._spool is not None
         try:
             for sealed, frames in self._spool.replay_units():
                 decoder = EventFrameDecoder()
-                feed = runtime.evaluator.feed
                 for frame in frames:
-                    for event in decoder.decode(frame):
-                        solutions = feed(event)
-                        if solutions:
-                            runtime.deliver(solutions, pairs)
+                    decoder.walk(frame, sink)
+                    pairs.extend(sink.drain())
                 if sealed:
                     runtime.reset()
+                    sink.reset()
         except Exception:
             shared_compiled_cache.release(compiled)
             raise
         # Graft into live dispatch: the machine is warm at exactly the
-        # engine's current position, so the next engine.push continues the
+        # engine's current position, so the live sink continues the
         # document with no duplicate and no gap.
         engine._subscriptions[name] = subscription
         engine._index.add(runtime)
@@ -1040,14 +1094,14 @@ class DocumentStreamSession:
             raise EngineError("stream session already closed")
 
     def _begin_document(self) -> None:
-        if self.parser == "expat":
-            self._source = ExpatEventSource(encoding=self._encoding)
-            self._doc_spool = [] if self._resumable else None
-        else:
-            self._source = StreamTokenizer(encoding=self._encoding)
-            self._doc_spool = None
+        engine = self._engine
+        self._document = StreamSession(
+            engine, parser=self.parser, encoding=self._encoding, resumable=self._resumable
+        )
         if self._spool is not None:
-            self._spool.begin_document(self.documents + self.documents_failed)
+            engine._sink.tee = self._spool.begin_document(
+                self.documents + self.documents_failed
+            )
         if self._window_started is None:
             self._window_started = time.monotonic()
         self._doc_busy = 0.0
@@ -1063,73 +1117,44 @@ class DocumentStreamSession:
             return
         started = time.perf_counter()
         try:
-            if self._source is None:
+            if self._document is None:
                 self._begin_document()
-            source = self._source
-            assert source is not None
-            if self._doc_spool is not None:
-                self._doc_spool.append(text)
-            events = source.feed(text)
-            self._push_events(events, pairs)
+            document = self._document
+            assert document is not None
+            sink = self._engine._sink
+            before = sink.order
+            new = document.feed_text(text)
+            # Sample live-entry pressure at segment ends: at document
+            # boundaries the stacks are empty by definition, so only
+            # mid-document samples reveal the true high-water mark.
+            live = self.live_entries()
+            if live > self._window_peak_live:
+                self._window_peak_live = live
             if completed:
-                trailing = source.close()
-                self._push_events(trailing, pairs)
-                self._doc_busy += time.perf_counter() - started
-                self._complete_document()
-                return
+                new.extend(document.finish())
+            if self._spool is not None:
+                self._spool.add_frame(sink.order - before)
+            pairs.extend(new)
+            self.total_matches += len(new)
+            self._window_matches += len(new)
         except Exception:
             self._doc_busy += time.perf_counter() - started
             self._handle_parse_error(completed)
             return
         self._doc_busy += time.perf_counter() - started
-
-    def _push_events(self, events: List[Event], pairs: List[Match]) -> None:
-        if not events:
-            return
-        engine = self._engine
-        push = engine.push
-        matched = 0
-        elements = 0
-        countdown = self._sample_countdown
-        peak = self._window_peak_live
-        for event in events:
-            cls = event.__class__
-            if cls is StartElement:
-                elements += 1
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = self._sample_interval
-                    live = self.live_entries()
-                    if live > peak:
-                        peak = live
-            emitted = push(event)
-            if emitted:
-                matched += len(emitted)
-                pairs.extend(emitted)
-        self._sample_countdown = countdown
-        self._window_peak_live = peak
-        self.total_matches += matched
-        self._window_matches += matched
-        if self._spool is not None:
-            self._spool.add_events(events, elements)
-        # Sample live-entry pressure at chunk granularity: at document
-        # boundaries the stacks are empty by definition, so only mid-stream
-        # samples reveal the true high-water mark.
-        live = self.live_entries()
-        if live > self._window_peak_live:
-            self._window_peak_live = live
+        if completed:
+            self._complete_document()
 
     def _complete_document(self) -> None:
         engine = self._engine
-        elements = engine._element_order
+        elements = engine._sink.order
         self.total_elements += elements
         self._window_elements += elements
         self.documents += 1
         self._window_docs += 1
         self._window_busy += self._doc_busy
         self._window_latencies.append(self._doc_busy * 1000.0)
-        self._source = None
-        self._doc_spool = None
+        self._document = None
         if self._spool is not None:
             self._spool.seal_document()
         self._soft_reset()
@@ -1147,17 +1172,13 @@ class DocumentStreamSession:
         position, so a subscriber added here may share a machine again.
         """
         engine = self._engine
-        for runtime in engine._index.runtimes:
-            runtime.reset()
-        del engine._index.context[:]
-        engine._element_order = 0
-        engine._started = False
+        engine._reset_machines()
+        engine._sink.tee = None
         engine._finished = False
 
     def _abandon_document(self) -> None:
         self.documents_failed += 1
-        self._source = None
-        self._doc_spool = None
+        self._document = None
         if self._spool is not None:
             self._spool.abort_document()
         self._frame_buffer.clear()
@@ -1249,44 +1270,38 @@ class DocumentStreamSession:
             state["byte_decoder"] = self._byte_decoder.snapshot_state()
         if self._spool is not None:
             state["spool"] = self._spool.snapshot_state()
-        if self._source is not None:
-            if isinstance(self._source, StreamTokenizer):
-                state["source"] = {"tokenizer": self._source.snapshot_state()}
-            else:
-                if self._doc_spool is None:
-                    raise CheckpointError(
-                        "cannot snapshot mid-document: this expat stream "
-                        "session was opened with resumable=False"
-                    )
-                state["source"] = {"expat_spool": encode_spool(list(self._doc_spool))}
-        else:
+        document = self._document
+        if document is None:
             state["source"] = None
+        elif document._tokenizer is not None:
+            state["source"] = {"tokenizer": document._tokenizer.snapshot_state()}
+        elif document._spool is None:
+            raise CheckpointError(
+                "cannot snapshot mid-document: this expat stream "
+                "session was opened with resumable=False"
+            )
+        else:
+            state["source"] = {"expat_spool": encode_spool(document._spool)}
         return make_snapshot(engine_state(self._engine), state)
 
     @classmethod
     def _from_snapshot(cls, engine: Any, state: Dict[str, Any]) -> "DocumentStreamSession":
         """Rebuild a stream session (engine already restored)."""
-        from .checkpoint import decode_spool
-
         inner = state.get("inner_parser", "native")
         if inner not in PARSER_BACKENDS:
             raise CheckpointError(f"unknown parser backend {inner!r} in snapshot")
         session = cls.__new__(cls)
-        session._engine = engine
-        session.parser = inner
-        session.framing = state.get("framing", "auto")
-        session._encoding = state.get("encoding")
-        session._resumable = bool(state.get("resumable", True))
-        session._on_error = state.get("on_error", "raise")
-        session._callback_adapter = None
-        session._scanner = None
+        session._setup(
+            engine,
+            inner,
+            state.get("framing", "auto"),
+            state.get("encoding"),
+            int(state.get("window_documents", 100)),
+            state.get("on_error", "raise"),
+            bool(state.get("resumable", True)),
+        )
         if "scanner" in state:
-            session._scanner = DocumentBoundaryScanner.restore_state(
-                state["scanner"]
-            )
-        elif session.framing == "auto":
-            session._scanner = DocumentBoundaryScanner()
-        session._byte_decoder = None
+            session._scanner = DocumentBoundaryScanner.restore_state(state["scanner"])
         decoder_state = state.get("byte_decoder")
         if decoder_state is not None:
             session._byte_decoder = IncrementalByteDecoder.restore_state(
@@ -1297,54 +1312,23 @@ class DocumentStreamSession:
         )
         session._frame_expected = state.get("frame_expected")
         spool_state = state.get("spool")
-        session._spool = (
-            RetentionSpool.restore_state(spool_state)
-            if spool_state is not None
-            else None
-        )
-        session._skipping = False
-        session._closed = False
-        session._failed = False
+        if spool_state is not None:
+            session._spool = RetentionSpool.restore_state(spool_state)
         counters = state.get("counters", {})
         session.documents = int(counters.get("documents", 0))
         session.documents_failed = int(counters.get("documents_failed", 0))
         session.total_elements = int(counters.get("total_elements", 0))
         session.total_matches = int(counters.get("total_matches", 0))
         session.bytes_fed = int(counters.get("bytes_fed", 0))
-        session.window_documents = int(state.get("window_documents", 100))
-        session._on_window = None
-        session._on_document = None
-        session.windows = deque(maxlen=64)
         session._window_index = int(counters.get("window_index", 0))
-        session._window_started = None
-        session._window_docs = 0
-        session._window_elements = 0
-        session._window_matches = 0
-        session._window_busy = 0.0
-        session._window_peak_live = 0
-        session._window_latencies = []
-        session._doc_busy = 0.0
-        session._sample_interval = 64
-        session._sample_countdown = session._sample_interval
         source_state = state.get("source")
-        session._source = None
-        session._doc_spool = None
         if source_state is not None:
             session._window_started = time.monotonic()
             if "tokenizer" in source_state:
-                session._source = StreamTokenizer.restore_state(
-                    source_state["tokenizer"]
-                )
+                carry = {"parser": inner, "tokenizer": source_state["tokenizer"]}
             else:
-                prefix = decode_spool(source_state["expat_spool"])
-                source = ExpatEventSource(encoding=session._encoding)
-                doc_spool: List[str] = []
-                for chunk in prefix:
-                    text = chunk if isinstance(chunk, str) else chunk.decode("utf-8")
-                    doc_spool.append(text)
-                    # Re-drive the prefix to rebuild parser state; the
-                    # events were already pushed before the snapshot.
-                    source.feed(text)
-                session._source = source
-                session._doc_spool = doc_spool if session._resumable else None
+                carry = {"parser": "expat", "spool": source_state["expat_spool"]}
+            session._document = StreamSession._from_snapshot(engine, carry)
+            if session._spool is not None:
+                engine._sink.tee = session._spool.encoder
         return session

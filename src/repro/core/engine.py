@@ -6,7 +6,8 @@ events (from either parser back-end) drive the TwigM machine's transition
 functions.  Three calling styles are offered:
 
 * :meth:`TwigMEvaluator.evaluate` — run a whole document and return a
-  :class:`~repro.core.results.ResultSet`;
+  :class:`~repro.core.results.ResultSet` (as a one-subscription engine on
+  the element sink, :mod:`repro.core.sink`);
 * :meth:`TwigMEvaluator.stream` — a generator that yields each solution as
   soon as it is known (the paper's "incrementally produce and distribute
   query results" requirement);
@@ -19,7 +20,7 @@ common one-shot cases.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Union
 
 from ..errors import StreamStateError
 from ..xmlstream.events import (
@@ -33,14 +34,14 @@ from ..xmlstream.events import (
     StartElement,
     as_event_iterable,
 )
-from ..xmlstream.reader import DEFAULT_CHUNK_SIZE, StreamReader, TextSource
-from ..xmlstream.sax import event_batches, iter_events
+from ..xmlstream.reader import DEFAULT_CHUNK_SIZE, TextSource
+from ..xmlstream.sax import iter_events
 from ..xmlstream.serializer import serialize_events
 from ..xpath.ast import QueryTree
 from .builder import build_machine
-from .fastpath import FusedExpatDriver, fused_pure_evaluate
 from .machine import TwigMachine
 from .results import ResultCollector, ResultSet, Solution
+from .sink import DOCUMENT_COUNTERS
 from .statistics import EngineStatistics
 from .transitions import (
     process_characters,
@@ -95,6 +96,7 @@ class TwigMEvaluator:
         self._element_order = 0
         self._finished = False
         self._started = False
+        self._in_text = False
         # Fragment capture state: one event buffer per open potential solution
         # element, keyed by that element's pre-order index.
         self._capture_buffers: Dict[int, List[Event]] = {}
@@ -107,102 +109,77 @@ class TwigMEvaluator:
         """Process one event; return solutions that became known with it.
 
         Dispatch is keyed on the exact event class first (the ``is`` checks
-        below, ordered by stream frequency) with an ``isinstance`` ladder as
-        the fallback for subclassed events; per-event isinstance chains were
-        ~40% of the seed engine's runtime.
+        below, ordered by stream frequency) with ``isinstance`` as the
+        fallback for subclassed events; per-event isinstance chains were
+        ~40% of the seed engine's runtime.  Document-level statistics follow
+        the element sink's rule (:mod:`repro.core.sink`): one ``Characters``
+        event and text chunk per run of character data.
         """
         if self._finished:
             raise StreamStateError("evaluator already finished; call reset() first")
         statistics = self.statistics if self.collect_statistics else None
+        cls = event.__class__
+        in_text = self._in_text
+        self._in_text = False
+        if cls is StartElement or isinstance(event, StartElement):
+            self._started = True
+            order = self._element_order
+            self._element_order = order + 1
+            if statistics is not None:
+                statistics.events += 1
+                statistics.elements += 1
+                statistics.attributes += len(event.attributes)
+                if event.level > statistics.max_depth:
+                    statistics.max_depth = event.level
+            if self.capture_fragments:
+                self._capture_start(event, order)
+            process_start_element(
+                self.machine,
+                event.name,
+                event.level,
+                event.attributes,
+                event.line,
+                order,
+                statistics,
+            )
+            return []
+        if cls is EndElement or isinstance(event, EndElement):
+            if statistics is not None:
+                statistics.events += 1
+            if self.capture_fragments:
+                self._capture_end(event)
+            return process_end_element(
+                self.machine,
+                event.name,
+                event.level,
+                statistics,
+                self.collector,
+                fragments=self._fragments if self.capture_fragments else None,
+                eager_emission=self.eager_emission,
+            )
+        if cls is Characters or isinstance(event, Characters):
+            self._in_text = True
+            if statistics is not None and not in_text:
+                statistics.events += 1
+                statistics.text_chunks += 1
+            if self.capture_fragments:
+                self._capture_event(event)
+            process_characters(self.machine, event.text, event.level)
+            return []
         if statistics is not None:
             statistics.events += 1
-        cls = event.__class__
-        if cls is StartElement:
-            self._started = True
-            order = self._element_order
-            self._element_order = order + 1
-            if self.capture_fragments:
-                self._capture_start(event, order)
-            process_start_element(
-                self.machine,
-                event.name,
-                event.level,
-                event.attributes,
-                event.line,
-                order,
-                statistics,
-            )
-            return []
-        if cls is EndElement:
-            if self.capture_fragments:
-                self._capture_end(event)
-            return process_end_element(
-                self.machine,
-                event.name,
-                event.level,
-                statistics,
-                self.collector,
-                fragments=self._fragments if self.capture_fragments else None,
-                eager_emission=self.eager_emission,
-            )
-        if cls is Characters:
-            if self.capture_fragments:
-                self._capture_event(event)
-            process_characters(self.machine, event.text, event.level, statistics)
-            return []
-        return self._feed_uncommon(event, statistics)
-
-    def _feed_uncommon(
-        self, event: Event, statistics: Optional[EngineStatistics]
-    ) -> List[Solution]:
-        """Slow-path dispatch for rare event kinds and event subclasses."""
         if isinstance(event, StartDocument):
             self._started = True
-            return []
-        if isinstance(event, StartElement):
-            self._started = True
-            order = self._element_order
-            self._element_order = order + 1
-            if self.capture_fragments:
-                self._capture_start(event, order)
-            process_start_element(
-                self.machine,
-                event.name,
-                event.level,
-                event.attributes,
-                event.line,
-                order,
-                statistics,
-            )
-            return []
-        if isinstance(event, Characters):
-            if self.capture_fragments:
-                self._capture_event(event)
-            process_characters(self.machine, event.text, event.level, statistics)
-            return []
-        if isinstance(event, EndElement):
-            if self.capture_fragments:
-                self._capture_end(event)
-            return process_end_element(
-                self.machine,
-                event.name,
-                event.level,
-                statistics,
-                self.collector,
-                fragments=self._fragments if self.capture_fragments else None,
-                eager_emission=self.eager_emission,
-            )
-        if isinstance(event, EndDocument):
+        elif isinstance(event, EndDocument):
             self._finished = True
             if not self.machine.stacks_empty():
                 raise StreamStateError(
                     "machine stacks are not empty at end of document; "
                     "the event stream was not well-nested"
                 )
-            return []
-        if isinstance(event, (Comment, ProcessingInstruction)):
-            return []
-        raise StreamStateError(f"unknown event type {type(event).__name__}")
+        elif not isinstance(event, (Comment, ProcessingInstruction)):
+            raise StreamStateError(f"unknown event type {type(event).__name__}")
+        return []
 
     def finish(self) -> ResultSet:
         """Declare the stream complete and return the accumulated result set."""
@@ -222,6 +199,7 @@ class TwigMEvaluator:
         self._element_order = 0
         self._finished = False
         self._started = False
+        self._in_text = False
         self._capture_buffers.clear()
         self._capture_levels.clear()
         self._fragments.clear()
@@ -237,8 +215,16 @@ class TwigMEvaluator:
         """Yield solutions incrementally while consuming ``source``.
 
         ``source`` may be anything :func:`repro.xmlstream.iter_events`
-        accepts, or an already-produced iterable of events.
+        accepts, or an already-produced iterable of events.  Like
+        :meth:`evaluate`, a fresh evaluator over a document runs as a
+        one-subscription engine on the element sink.
         """
+        if self._runs_on_sink(source):
+            engine = self._one_subscription_engine()
+            for match in engine.stream(source, parser=parser, chunk_size=chunk_size):
+                yield match.solution
+            self._absorb(engine)
+            return
         for event in self._events_for(source, parser, chunk_size):
             solutions = self.feed(event)
             if solutions:
@@ -252,127 +238,47 @@ class TwigMEvaluator:
     ) -> ResultSet:
         """Evaluate the query over a complete document and return all solutions.
 
-        Unlike :meth:`stream`, this uses the fused fast paths from
-        :mod:`repro.core.fastpath` whenever possible — a bulk scan that
-        drives the TwigM transitions with no event objects at all — and
-        otherwise consumes the parser's event *batches* directly (one list
-        per fed chunk) with inline class dispatch, so neither generator
-        machinery nor a per-event ``feed`` call sits between the tokenizer
-        and the transition functions.
+        A fresh evaluator over a document source runs as a one-subscription
+        :class:`~repro.core.multi.MultiQueryEvaluator` around this machine,
+        so it takes the same parser sources into the element sink
+        (:mod:`repro.core.sink`) — a bulk scan (pure) or expat callbacks —
+        with no event objects.  Fragment capture, event iterables and the
+        continuation of a stream already fed through :meth:`feed` use
+        :meth:`feed`.
         """
-        fresh = (
-            not self.capture_fragments
-            and not self._started
-            and not self._finished
-            and self._element_order == 0
-            and not _is_event_iterable(source)
-        )
-        if fresh:
-            statistics = self.statistics if self.collect_statistics else None
-            if (
-                parser in ("native", "pure")
-                and isinstance(source, str)
-                and not StreamReader._looks_like_path(source)
-            ):
-                # Complete in-memory document: fused scan + transitions.
-                elements = fused_pure_evaluate(
-                    self.machine, source, statistics,
-                    self.collector, self.eager_emission,
-                )
-                if elements is not None:
-                    self._element_order = elements
-                    self._started = True
-                    self._finished = True
-                    return self.finish()
-                # Construct the fast scan could not handle (or a syntax
-                # error): reset the partial state and replay through the
-                # event pipeline, which reproduces the canonical behaviour.
-                self.machine.reset()
-                self.collector = ResultCollector()
-                if self.collect_statistics:
-                    self.statistics = EngineStatistics()
-            elif parser == "expat":
-                driver = FusedExpatDriver(
-                    self.machine, statistics, self.collector, self.eager_emission
-                )
-                reader = StreamReader(source, chunk_size=chunk_size)
-                try:
-                    driver.run(reader.raw_chunks())
-                except Exception:
-                    # Leave the evaluator clean: a later evaluate() must not
-                    # see this failed run's partial stacks or solutions.
-                    self.machine.reset()
-                    self.collector = ResultCollector()
-                    if self.collect_statistics:
-                        self.statistics = EngineStatistics()
-                    raise
-                self._element_order = driver.element_count
-                self._started = True
-                self._finished = True
-                return self.finish()
-        if _is_event_iterable(source):
-            feed = self.feed
-            for event in source:
-                feed(event)
+        if self._runs_on_sink(source):
+            engine = self._one_subscription_engine()
+            engine.evaluate(source, parser=parser, chunk_size=chunk_size)
+            self._absorb(engine)
             return self.finish()
-        if self.capture_fragments:
-            feed = self.feed
-            for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-                for event in batch:
-                    feed(event)
-            return self.finish()
-        # Bulk fast path: locals for everything touched per event.
-        machine = self.machine
-        statistics = self.statistics if self.collect_statistics else None
-        collector = self.collector
-        eager = self.eager_emission
-        order = self._element_order
-        has_text_nodes = bool(machine.text_nodes)
-        start_element = StartElement
-        end_element = EndElement
-        characters = Characters
-        try:
-            for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-                if self._finished:
-                    raise StreamStateError(
-                        "evaluator already finished; call reset() first"
-                    )
-                if statistics is not None:
-                    statistics.events += len(batch)
-                for event in batch:
-                    cls = event.__class__
-                    if cls is start_element:
-                        process_start_element(
-                            machine,
-                            event.name,
-                            event.level,
-                            event.attributes,
-                            event.line,
-                            order,
-                            statistics,
-                        )
-                        order += 1
-                    elif cls is end_element:
-                        process_end_element(
-                            machine, event.name, event.level, statistics, collector,
-                            fragments=None, eager_emission=eager,
-                        )
-                    elif cls is characters:
-                        if has_text_nodes:
-                            process_characters(
-                                machine, event.text, event.level, statistics
-                            )
-                        elif statistics is not None:
-                            statistics.text_chunks += 1
-                    else:
-                        self._element_order = order
-                        self._feed_uncommon(event, statistics)
-                        order = self._element_order
-        finally:
-            self._element_order = order
+        for event in self._events_for(source, parser, chunk_size):
+            self.feed(event)
         return self.finish()
 
     # ------------------------------------------------------------ internals
+
+    def _runs_on_sink(self, source) -> bool:
+        return (
+            not self.capture_fragments
+            and not self._started
+            and not self._finished
+            and not _is_event_iterable(source)
+        )
+
+    def _one_subscription_engine(self):
+        from .multi import MultiQueryEvaluator  # deferred: multi imports us
+
+        return MultiQueryEvaluator._serving(self)
+
+    def _absorb(self, engine) -> None:
+        """Adopt the document counters and position of a finished engine run."""
+        document = engine._sink.statistics
+        if document is not None:
+            for name in DOCUMENT_COUNTERS:
+                setattr(self.statistics, name, getattr(document, name))
+        self._element_order = engine._sink.order
+        self._started = True
+        self._finished = True
 
     @staticmethod
     def _events_for(

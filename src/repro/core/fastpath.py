@@ -1,939 +1,308 @@
-"""Fused streaming fast paths: scan + TwigM transitions with no event objects.
+"""Parser sources for the element sink: no event objects on the hot path.
 
-The general pipeline materialises one event object per markup construct and
-dispatches it through :meth:`TwigMEvaluator.feed`.  That is the right shape
-for the push API, for fragment capture and for incremental solution
-streaming — but for the dominant ``evaluate(document)`` call it spends a
-large fraction of the per-element budget on allocating, dispatching and
-unpacking event tuples.
+The general pipeline materialises one event object per markup construct.
+That is the right shape for the push API and fragment capture, but for
+``evaluate(document)``, push sessions and the document stream it spends a
+large fraction of the per-element budget on allocating and unpacking event
+tuples.  The two sources here parse and call an
+:class:`~repro.core.sink.ElementSink` directly; all TwigM bookkeeping —
+pre-order, ancestor chain, statistics, dispatch, delivery — happens in the
+sink, so the sources cannot drift from each other or from the event path.
 
-This module provides two fused drivers used by :meth:`TwigMEvaluator.evaluate`:
-
-* :func:`fused_pure_evaluate` — a bulk regex scan over a complete in-memory
-  document that drives the TwigM transitions *inline*.  The inlined
-  start/end bodies are deliberate copies of
-  :func:`~repro.core.transitions.process_start_element` /
-  :func:`process_end_element` (calling them per tag costs ~15% of this
-  path's budget): ANY semantic change to transitions.py must be mirrored
-  here, and the conformance suite
-  (``tests/xmlstream/test_backend_conformance.py`` — result sets *and*
-  statistics parity against the event pipeline) is the tripwire that
-  catches drift.  Used for ``str`` sources, where chunking buys no memory
-  advantage.  Returns ``None`` whenever the document needs the
-  general pipeline — unsupported constructs or any syntax error — and the
-  caller replays through the event pipeline, which reproduces the exact
-  error message of the incremental tokenizer.
-* :class:`FusedExpatDriver` — expat callbacks calling the scalar transition
-  functions directly, skipping event materialisation.  Works for any
-  (possibly streaming) source and keeps expat's constant-memory behaviour.
-
-Both drivers maintain :class:`~repro.core.statistics.EngineStatistics`
-counters identical to the event pipeline when a statistics object is given,
-and skip them entirely when it is ``None``.
+* :func:`fused_pure_multi_evaluate` — a bulk regex scan over a complete
+  in-memory document.  It bails out (returns ``None``) whenever the
+  document needs the general pipeline — unsupported constructs or any
+  syntax error — and the caller replays through the event pipeline, which
+  reproduces the exact error message of the incremental tokenizer.  The
+  sink defers deliveries during the scan, so a bail-out fires no callback
+  twice.
+* :class:`ExpatSource` — expat callbacks bound straight to the sink.  One
+  driver serves both the one-shot :meth:`~ExpatSource.run` loop and the
+  incremental :meth:`~ExpatSource.feed` / :meth:`~ExpatSource.finish`
+  session mode, and keeps expat's constant-memory behaviour.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 from xml.parsers import expat
 
-from ..errors import XMLSyntaxError
-from ..xpath.ast import Axis, evaluate_formula
+from ..errors import StreamStateError, XMLSyntaxError
 from ..xmlstream.tokenizer import (
     _END_TAG_RE,
     _START_TAG_RE,
     decode_entities,
     parse_attribute_string,
 )
-from .machine import TwigMachine
-from .results import NodeRef, ResultCollector, Solution, SolutionKind
-from .stack import acquire_entry
-from .statistics import EngineStatistics
-from .transitions import (
-    _resolve_attributes,
-    process_end_element,
-    process_start_element,
-)
-
-_DESCENDANT = Axis.DESCENDANT
-_CHILD = Axis.CHILD
+from .sink import ElementSink
 
 
-def fused_pure_evaluate(
-    machine: TwigMachine,
-    document: str,
-    statistics: Optional[EngineStatistics],
-    collector: ResultCollector,
-    eager_emission: bool,
-) -> Optional[int]:
-    """Evaluate over a complete document string; return the element count.
+def fused_pure_multi_evaluate(sink: ElementSink, document: str) -> Optional[list]:
+    """Scan the complete ``document`` into ``sink``.
 
-    Returns ``None`` when the document cannot be handled by the fast
-    patterns (malformed markup, truncated constructs, exotic declarations).
-    The caller must then reset the machine/collector and replay through the
-    general event pipeline, which either succeeds (constructs the fast path
-    skipped) or raises the canonical :class:`XMLSyntaxError`.
+    Returns the deferred ``(runtime, solutions)`` deliveries in emission
+    order for the caller to fan out, or ``None`` when the document needs the
+    general pipeline.  After ``None`` the caller must reset the machines
+    and the sink before replaying through the event pipeline, which either
+    succeeds (constructs the scan skipped) or raises the canonical
+    :class:`XMLSyntaxError`.
     """
+    deferred: list = []
+    sink.deferred = deferred
     try:
-        return _fused_pure_scan(
-            machine, document, statistics, collector, eager_emission
-        )
-    except XMLSyntaxError:
-        # Entity/attribute errors raised mid-scan: let the event pipeline
-        # re-derive the canonical error message and line number.
+        return deferred if _scan(sink, document) else None
+    except (XMLSyntaxError, StreamStateError):
+        # Entity/attribute errors and mis-nested end tags raised mid-scan:
+        # the event pipeline re-derives the canonical error and line.
         return None
+    finally:
+        sink.deferred = None
 
 
-def _fused_pure_scan(
-    machine: TwigMachine,
-    doc: str,
-    statistics: Optional[EngineStatistics],
-    collector: ResultCollector,
-    eager: bool,
-) -> Optional[int]:
+def _scan(sink: ElementSink, doc: str) -> bool:
     n = len(doc)
     find = doc.find
     count = doc.count
     start_match = _START_TAG_RE.match
     end_match = _END_TAG_RE.match
-    match_cache = machine._match_cache
-    match_cache_postorder = machine._match_cache_postorder
-    nodes_matching = machine.nodes_matching
-    nodes_matching_postorder = machine.nodes_matching_postorder
-    text_nodes = machine.text_nodes
-    need_text = bool(text_nodes)
+    start = sink.start
+    end = sink.end
+    characters = sink.text
+    context = sink.context
     track_lines = "\n" in doc
-
-    open_elements: List[str] = []
-    order = 0
     index = 0
     line = 1
     root_seen = False
-    root_closed = False
-    # Emulates the event pipeline's text coalescing for the statistics
-    # counters: one Characters event per run of text flushed by a
-    # structural event, comment or processing instruction.
-    pending_text = False
-    text_flushes = 0
-    misc_events = 0  # comments + processing instructions
-
+    sink.start_document()
     while index < n:
         lt = find("<", index)
         if lt == -1:
-            tail = doc[index:]
-            if tail.strip():
-                return None  # trailing content / unclosed element -> replay
-            if track_lines:
-                line += tail.count("\n")
-            index = n
+            if doc[index:].strip():
+                return False  # trailing content / unclosed element
             break
         if lt > index:
-            if open_elements:
-                if need_text:
-                    text = doc[index:lt]
-                    if "&" in text:
-                        text = decode_entities(text, line=line)
-                    level = len(open_elements)
-                    for machine_node in text_nodes:
-                        for entry in machine_node.stack.entries:
-                            if entry.string_parts is not None:
-                                entry.string_parts.append(text)
-                            if entry.direct_parts is not None and level == entry.level:
-                                entry.direct_parts.append(text)
-                    pending_text = True
-                else:
-                    # Text content is irrelevant to this query; validate
-                    # entity references without materialising the slice
-                    # unless one is present.
-                    if find("&", index, lt) != -1:
-                        decode_entities(doc[index:lt], line=line)
-                    pending_text = True
+            if context:
+                text = doc[index:lt]
+                if "&" in text:
+                    text = decode_entities(text, line=line)
+                characters(text)
             elif doc[index:lt].strip():
-                return None  # character data outside the root element
+                return False  # character data outside the root element
             if track_lines:
                 line += count("\n", index, lt)
         second = doc[lt + 1] if lt + 1 < n else ""
         if second == "/":
             match = end_match(doc, lt)
             if match is None:
-                return None
-            name = match.group(1)
-            end = match.end()
+                return False
+            index = match.end()
             if track_lines:
-                line += count("\n", lt, end)
-            if not open_elements or open_elements[-1] != name:
-                return None  # mismatched end tag -> replay for exact error
-            if pending_text:
-                pending_text = False
-                if statistics is not None:
-                    statistics.text_chunks += 1
-                    text_flushes += 1
-            level = len(open_elements)
-            open_elements.pop()
-            if not open_elements:
-                root_closed = True
-            # ---- inline end-element transition (mirrors transitions.py) ----
-            matching = match_cache_postorder.get(name)
-            if matching is None:
-                matching = nodes_matching_postorder(name)
-            popped = False
-            for machine_node in matching:
-                entries = machine_node.stack.entries
-                if not entries or entries[-1].level != level:
-                    continue
-                entry = entries.pop()
-                popped = True
-                if statistics is not None:
-                    statistics.pops += 1
-                    statistics.live_entries -= 1
-                    if entry.candidates:
-                        statistics.live_candidates -= len(entry.candidates)
-                if not machine_node.is_unconditional:
-                    query_node = machine_node.query_node
-                    parts = entry.string_parts
-                    string_value = "".join(parts) if parts is not None else None
-                    if query_node.value_test is not None and not query_node.value_test.evaluate(string_value):
-                        continue
-                    if not evaluate_formula(query_node.formula, entry.satisfied, string_value):
-                        continue
-                if machine_node.is_output:
-                    before = len(entry.candidates)
-                    solution = Solution(kind=SolutionKind.ELEMENT, node=entry.element)
-                    entry.candidates.setdefault(solution.key(), solution)
-                    if statistics is not None and len(entry.candidates) > before:
-                        statistics.candidates_created += 1
-                if machine_node.text_output is not None:
-                    direct = entry.direct_text() or ""
-                    if direct:
-                        before = len(entry.candidates)
-                        solution = Solution(
-                            kind=SolutionKind.TEXT, node=entry.element, value=direct
-                        )
-                        entry.candidates.setdefault(solution.key(), solution)
-                        if statistics is not None and len(entry.candidates) > before:
-                            statistics.candidates_created += 1
-                if machine_node.parent is None or (
-                    eager
-                    and not machine_node.is_predicate_branch
-                    and machine_node.ancestors_unconditional
-                ):
-                    if statistics is not None:
-                        statistics.solutions_emitted += len(entry.candidates)
-                    for solution in entry.candidates.values():
-                        if collector.add(solution) and statistics is not None:
-                            statistics.solutions_distinct += 1
-                    continue
-                parent_entries = machine_node.parent.stack.entries
-                if machine_node.axis is _DESCENDANT:
-                    targets = [t for t in parent_entries if t.level < level]
-                else:
-                    parent_level = level - 1
-                    targets = [t for t in parent_entries if t.level == parent_level]
-                if machine_node.is_predicate_branch:
-                    node_id = machine_node.query_node.node_id
-                    for target in targets:
-                        if node_id not in target.satisfied:
-                            target.satisfied.add(node_id)
-                            if statistics is not None:
-                                statistics.flags_set += 1
-                else:
-                    for target in targets:
-                        added = target.absorb_candidates(entry)
-                        if statistics is not None:
-                            statistics.candidates_propagated += added
-                            statistics.live_candidates += added
-            if popped and statistics is not None:
-                live_candidates = statistics.live_candidates
-                if live_candidates > statistics.peak_candidate_count:
-                    statistics.peak_candidate_count = live_candidates
-            # ---------------------------------------------------------------
-            index = end
+                line += count("\n", lt, index)
+            end(match.group(1))  # a mismatched end tag raises: bail out
             continue
-        elif second not in ("!", "?", ""):
+        if second not in ("!", "?", ""):
             match = start_match(doc, lt)
             if match is None:
-                return None
+                return False
             name, raw_attributes, empty = match.group(1, 2, 3)
-            end = match.end()
+            index = match.end()
             if track_lines:
-                line += count("\n", lt, end)
-            if root_closed:
-                return None  # second root element -> replay for exact error
-            if raw_attributes:
-                # Duplicate attributes / bad entity references raise
-                # XMLSyntaxError, which the fused_pure_evaluate wrapper
-                # converts into an event-pipeline replay.
-                attributes = parse_attribute_string(raw_attributes, name, line)
-            else:
-                attributes = ()
-            if pending_text:
-                pending_text = False
-                if statistics is not None:
-                    statistics.text_chunks += 1
-                    text_flushes += 1
-            open_elements.append(name)
+                line += count("\n", lt, index)
+            if root_seen and not context:
+                return False  # second root element
             root_seen = True
-            level = len(open_elements)
-            # ---- inline start-element transition (mirrors transitions.py) ----
-            if statistics is not None:
-                statistics.elements += 1
-                statistics.attributes += len(attributes)
-                if level > statistics.max_depth:
-                    statistics.max_depth = level
-            matching = match_cache.get(name)
-            if matching is None:
-                matching = nodes_matching(name)
-            if matching:
-                node_ref = None
-                pushed = False
-                for machine_node in matching:
-                    parent = machine_node.parent
-                    if parent is None:
-                        if machine_node.axis is not _DESCENDANT and level != 1:
-                            continue
-                    else:
-                        parent_entries = parent.stack.entries
-                        if machine_node.axis is _CHILD:
-                            target_level = level - 1
-                            open_at = False
-                            for open_entry in reversed(parent_entries):
-                                entry_level = open_entry.level
-                                if entry_level == target_level:
-                                    open_at = True
-                                    break
-                                if entry_level < target_level:
-                                    break
-                            if not open_at:
-                                continue
-                        elif not parent_entries or parent_entries[0].level >= level:
-                            continue
-                    if node_ref is None:
-                        node_ref = NodeRef(order, name, level, line)
-                    entry = acquire_entry(
-                        level,
-                        node_ref,
-                        [] if machine_node.needs_string_value else None,
-                        [] if machine_node.needs_direct_text else None,
-                    )
-                    attribute_work = (
-                        machine_node.attribute_predicates
-                        or machine_node.attribute_output is not None
-                    )
-                    if attribute_work:
-                        _resolve_attributes(machine_node, entry, attributes, statistics)
-                    machine_node.stack.entries.append(entry)
-                    pushed = True
-                    if statistics is not None:
-                        statistics.pushes += 1
-                        by_node = statistics.pushes_by_node
-                        label = machine_node.label
-                        by_node[label] = by_node.get(label, 0) + 1
-                        statistics.live_entries += 1
-                        if attribute_work:
-                            statistics.live_candidates += entry.candidate_count
-                if pushed and statistics is not None:
-                    live_entries = statistics.live_entries
-                    if live_entries > statistics.peak_stack_entries:
-                        statistics.peak_stack_entries = live_entries
-                    live_candidates = statistics.live_candidates
-                    if live_candidates > statistics.peak_candidate_count:
-                        statistics.peak_candidate_count = live_candidates
-            # -----------------------------------------------------------------
-            order += 1
+            # Duplicate attributes / bad entity references raise
+            # XMLSyntaxError, which the wrapper turns into a bail-out.
+            start(
+                name,
+                parse_attribute_string(raw_attributes, name, line) if raw_attributes else (),
+                line,
+            )
             if empty:
-                open_elements.pop()
-                if not open_elements:
-                    root_closed = True
-                process_end_element(
-                    machine, name, level, statistics, collector,
-                    eager_emission=eager,
-                )
-            index = end
+                end(name)
             continue
         # -------- uncommon constructs: comments, CDATA, PI, DOCTYPE --------
         if doc.startswith("<!--", lt):
-            end3 = find("-->", lt + 4)
-            if end3 == -1:
-                return None
-            if pending_text:
-                pending_text = False
-                if statistics is not None:
-                    statistics.text_chunks += 1
-                    text_flushes += 1
-            misc_events += 1  # Comment event
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index = end3 + 3
-            continue
-        if doc.startswith("<![CDATA[", lt):
-            end3 = find("]]>", lt + 9)
-            if end3 == -1:
-                return None
-            content = doc[lt + 9:end3]
-            if open_elements:
+            close = find("-->", lt + 4)
+            if close == -1:
+                return False
+            sink.misc()
+            index = close + 3
+        elif doc.startswith("<![CDATA[", lt):
+            close = find("]]>", lt + 9)
+            if close == -1:
+                return False
+            content = doc[lt + 9 : close]
+            if context:
                 if content:
-                    if need_text:
-                        level = len(open_elements)
-                        for machine_node in text_nodes:
-                            for entry in machine_node.stack.entries:
-                                if entry.string_parts is not None:
-                                    entry.string_parts.append(content)
-                                if entry.direct_parts is not None and level == entry.level:
-                                    entry.direct_parts.append(content)
-                    pending_text = True
+                    characters(content)
             elif content.strip():
-                return None  # CDATA outside the root element
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index = end3 + 3
-            continue
-        if second == "?":
-            end2 = find("?>", lt + 2)
-            if end2 == -1:
-                return None
-            content = doc[lt + 2:end2]
-            target = content.partition(" ")[0].strip()
-            if target.lower() != "xml":
-                if pending_text:
-                    pending_text = False
-                    if statistics is not None:
-                        statistics.text_chunks += 1
-                        text_flushes += 1
-                misc_events += 1  # ProcessingInstruction event
-            if track_lines:
-                line += count("\n", lt, end2 + 2)
-            index = end2 + 2
-            continue
-        if doc.startswith("<!DOCTYPE", lt):
+                return False  # CDATA outside the root element
+            index = close + 3
+        elif second == "?":
+            close = find("?>", lt + 2)
+            if close == -1:
+                return False
+            if doc[lt + 2 : close].partition(" ")[0].strip().lower() != "xml":
+                sink.misc()
+            index = close + 2
+        elif doc.startswith("<!DOCTYPE", lt):
             depth = 0
-            scan = lt
-            doctype_end = -1
-            while scan < n:
+            index = -1
+            for scan in range(lt, n):
                 char = doc[scan]
                 if char == "[":
                     depth += 1
                 elif char == "]":
                     depth -= 1
                 elif char == ">" and depth <= 0:
-                    doctype_end = scan + 1
+                    index = scan + 1
                     break
-                scan += 1
-            if doctype_end == -1:
-                return None
-            if track_lines:
-                line += count("\n", lt, doctype_end)
-            index = doctype_end
-            continue
-        return None  # anything else: replay through the event pipeline
-
-    if open_elements or not root_seen:
-        return None  # unclosed element / no root -> replay for exact error
-    if statistics is not None:
-        # StartDocument + EndDocument + one start and one end per element
-        # + coalesced text chunks + comments/PIs.
-        statistics.events += 2 + 2 * order + text_flushes + misc_events
-    return order
+            if index == -1:
+                return False
+        else:
+            return False  # anything else: replay through the event pipeline
+        if track_lines:
+            line += count("\n", lt, index)
+    if context or not root_seen:
+        return False  # unclosed element / no root
+    sink.end_document()
+    return True
 
 
-class FusedExpatDriver:
-    """Drive the TwigM transitions straight from expat callbacks.
+class ExpatSource:
+    """Drive an element sink straight from expat callbacks.
 
-    No event objects are created: each callback calls the scalar transition
-    functions with the values expat hands it.  Statistics counters (when
-    enabled) are maintained with the same semantics as the event pipeline,
-    including coalesced text-chunk counting.
+    End tags, character data, comments and processing instructions are
+    bound to the sink's methods directly; only start tags pass through a
+    small adapter that pairs up expat's flat attribute list and reads the
+    line number.  Use :meth:`run` to consume a whole document, or
+    :meth:`feed` / :meth:`finish` when the caller owns the read loop (push
+    sessions): each ``feed`` is one ``Parse(chunk, 0)``.
     """
 
-    def __init__(
-        self,
-        machine: TwigMachine,
-        statistics: Optional[EngineStatistics],
-        collector: ResultCollector,
-        eager_emission: bool,
-    ) -> None:
+    def __init__(self, sink: ElementSink) -> None:
         parser = expat.ParserCreate()
         parser.buffer_text = True
         parser.ordered_attributes = True
-        parser.StartElementHandler = self._start_element
-        parser.EndElementHandler = self._end_element
-        if machine.text_nodes or statistics is not None:
-            parser.CharacterDataHandler = self._characters
-        if statistics is not None:
-            parser.CommentHandler = self._comment
-            parser.ProcessingInstructionHandler = self._processing_instruction
         self._parser = parser
-        self._machine = machine
-        self._statistics = statistics
-        self._collector = collector
-        self._eager = eager_emission
-        self._text_nodes = machine.text_nodes
-        self._level = 0
-        self._order = 0
-        self._pending_text = False
-
-    # ------------------------------------------------------------------ API
-
-    @property
-    def element_count(self) -> int:
-        """Number of start tags processed so far."""
-        return self._order
-
-    def run(self, chunks) -> None:
-        """Consume the whole document from an iterable of str/bytes chunks."""
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1  # StartDocument
-        parser = self._parser
-        fed_bytes = False
-        try:
-            for chunk in chunks:
-                if isinstance(chunk, bytes):
-                    fed_bytes = True
-                parser.Parse(chunk, False)
-            parser.Parse(b"" if fed_bytes else "", True)
-        except expat.ExpatError as exc:
-            raise XMLSyntaxError(
-                str(exc),
-                line=getattr(exc, "lineno", None),
-                column=getattr(exc, "offset", None),
-            ) from exc
-        self._flush_pending()
-        if statistics is not None:
-            statistics.events += 1  # EndDocument
-
-    # ------------------------------------------------------ expat callbacks
-
-    def _flush_pending(self) -> None:
-        if self._pending_text:
-            self._pending_text = False
-            statistics = self._statistics
-            if statistics is not None:
-                statistics.text_chunks += 1
-                statistics.events += 1
-
-    def _start_element(self, name: str, attributes: List[str]) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-        level = self._level + 1
-        self._level = level
-        pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
-        order = self._order
-        self._order = order + 1
-        process_start_element(
-            self._machine,
-            name,
-            level,
-            pairs,
-            self._parser.CurrentLineNumber,
-            order,
-            statistics,
-        )
-
-    def _end_element(self, name: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-        level = self._level
-        self._level = level - 1
-        process_end_element(
-            self._machine, name, level, statistics, self._collector,
-            eager_emission=self._eager,
-        )
-
-    def _characters(self, data: str) -> None:
-        level = self._level
-        if level <= 0:
-            return
-        self._pending_text = True
-        text_nodes = self._text_nodes
-        if text_nodes:
-            for machine_node in text_nodes:
-                for entry in machine_node.stack.entries:
-                    if entry.string_parts is not None:
-                        entry.string_parts.append(data)
-                    if entry.direct_parts is not None and level == entry.level:
-                        entry.direct_parts.append(data)
-
-    def _comment(self, data: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-
-    def _processing_instruction(self, target: str, data: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        statistics = self._statistics
-        if statistics is not None:
-            statistics.events += 1
-
-
-# ---------------------------------------------------------------------------
-# Fused multi-query drivers: one scan, label-dispatched machines
-# ---------------------------------------------------------------------------
-
-
-def fused_pure_multi_evaluate(index, document: str, deliveries: list) -> Optional[int]:
-    """Evaluate every indexed machine over one bulk scan of ``document``.
-
-    ``index`` is a :class:`~repro.core.queryindex.QueryIndex`; ``deliveries``
-    is an output list that receives ``(runtime, solutions)`` pairs in
-    emission order.  Deliveries are *buffered* rather than fanned out
-    immediately: when the scan bails out (returns ``None``) the caller
-    resets the machines and replays through the event pipeline, and
-    buffering guarantees no subscriber callback fires twice.
-
-    Returns the element count on success, or ``None`` when the document
-    needs the general pipeline (same bail-out conditions as
-    :func:`fused_pure_evaluate`).
-    """
-    try:
-        return _fused_pure_multi_scan(index, document, deliveries)
-    except XMLSyntaxError:
-        return None
-
-
-def _fused_pure_multi_scan(index, doc: str, deliveries: list) -> Optional[int]:
-    n = len(doc)
-    find = doc.find
-    count = doc.count
-    start_match = _START_TAG_RE.match
-    end_match = _END_TAG_RE.match
-    dispatch = index.dispatch
-    text_runtimes = index.text_runtimes()
-    need_text = bool(text_runtimes)
-    track_lines = "\n" in doc
-
-    # The scan's open-element stack *is* the index's live ancestor chain:
-    # family runtimes resolve residual paths against it at emission time, so
-    # it must reflect the chain of the element being closed — hence the pops
-    # below happen after the end-element dispatch, not before.
-    open_elements = index.context
-    del open_elements[:]
-    order = 0
-    index_pos = 0
-    line = 1
-    root_seen = False
-    root_closed = False
-    pending_text = False
-
-    def flush_text() -> None:
-        # One coalesced Characters run ended: count it for the machines that
-        # actually receive character data (matching the indexed feed path,
-        # where only text-collecting machines are dispatched text events).
-        for runtime in text_runtimes:
-            statistics = runtime.statistics
-            if statistics is not None:
-                statistics.text_chunks += 1
-
-    while index_pos < n:
-        lt = find("<", index_pos)
-        if lt == -1:
-            tail = doc[index_pos:]
-            if tail.strip():
-                return None  # trailing content / unclosed element -> replay
-            if track_lines:
-                line += tail.count("\n")
-            index_pos = n
-            break
-        if lt > index_pos:
-            if open_elements:
-                if need_text:
-                    text = doc[index_pos:lt]
-                    if "&" in text:
-                        text = decode_entities(text, line=line)
-                    level = len(open_elements)
-                    for runtime in text_runtimes:
-                        for machine_node in runtime.machine.text_nodes:
-                            for entry in machine_node.stack.entries:
-                                if entry.string_parts is not None:
-                                    entry.string_parts.append(text)
-                                if entry.direct_parts is not None and level == entry.level:
-                                    entry.direct_parts.append(text)
-                    pending_text = True
-                else:
-                    if find("&", index_pos, lt) != -1:
-                        decode_entities(doc[index_pos:lt], line=line)
-                    pending_text = True
-            elif doc[index_pos:lt].strip():
-                return None  # character data outside the root element
-            if track_lines:
-                line += count("\n", index_pos, lt)
-        second = doc[lt + 1] if lt + 1 < n else ""
-        if second == "/":
-            match = end_match(doc, lt)
-            if match is None:
-                return None
-            name = match.group(1)
-            end = match.end()
-            if track_lines:
-                line += count("\n", lt, end)
-            if not open_elements or open_elements[-1] != name:
-                return None  # mismatched end tag -> replay for exact error
-            if pending_text:
-                pending_text = False
-                flush_text()
-            level = len(open_elements)
-            for runtime in dispatch(name):
-                solutions = process_end_element(
-                    runtime.machine, name, level, runtime.statistics,
-                    runtime.collector, eager_emission=runtime.eager,
-                )
-                if solutions:
-                    if runtime.is_family:
-                        runtime.resolve(solutions)
-                    deliveries.append((runtime, solutions))
-            open_elements.pop()
-            if not open_elements:
-                root_closed = True
-            index_pos = end
-            continue
-        elif second not in ("!", "?", ""):
-            match = start_match(doc, lt)
-            if match is None:
-                return None
-            name, raw_attributes, empty = match.group(1, 2, 3)
-            end = match.end()
-            if track_lines:
-                line += count("\n", lt, end)
-            if root_closed:
-                return None  # second root element -> replay for exact error
-            if raw_attributes:
-                # Raises XMLSyntaxError on duplicates / bad entities, which
-                # the wrapper converts into an event-pipeline replay.
-                attributes = parse_attribute_string(raw_attributes, name, line)
-            else:
-                attributes = ()
-            if pending_text:
-                pending_text = False
-                flush_text()
-            open_elements.append(name)
-            root_seen = True
-            level = len(open_elements)
-            runtimes = dispatch(name)
-            if runtimes:
-                for runtime in runtimes:
-                    process_start_element(
-                        runtime.machine, name, level, attributes, line,
-                        order, runtime.statistics,
-                    )
-            order += 1
-            if empty:
-                for runtime in runtimes:
-                    solutions = process_end_element(
-                        runtime.machine, name, level, runtime.statistics,
-                        runtime.collector, eager_emission=runtime.eager,
-                    )
-                    if solutions:
-                        if runtime.is_family:
-                            runtime.resolve(solutions)
-                        deliveries.append((runtime, solutions))
-                open_elements.pop()
-                if not open_elements:
-                    root_closed = True
-            index_pos = end
-            continue
-        # -------- uncommon constructs: comments, CDATA, PI, DOCTYPE --------
-        if doc.startswith("<!--", lt):
-            end3 = find("-->", lt + 4)
-            if end3 == -1:
-                return None
-            if pending_text:
-                pending_text = False
-                flush_text()
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index_pos = end3 + 3
-            continue
-        if doc.startswith("<![CDATA[", lt):
-            end3 = find("]]>", lt + 9)
-            if end3 == -1:
-                return None
-            content = doc[lt + 9:end3]
-            if open_elements:
-                if content:
-                    if need_text:
-                        level = len(open_elements)
-                        for runtime in text_runtimes:
-                            for machine_node in runtime.machine.text_nodes:
-                                for entry in machine_node.stack.entries:
-                                    if entry.string_parts is not None:
-                                        entry.string_parts.append(content)
-                                    if entry.direct_parts is not None and level == entry.level:
-                                        entry.direct_parts.append(content)
-                    pending_text = True
-            elif content.strip():
-                return None  # CDATA outside the root element
-            if track_lines:
-                line += count("\n", lt, end3 + 3)
-            index_pos = end3 + 3
-            continue
-        if second == "?":
-            end2 = find("?>", lt + 2)
-            if end2 == -1:
-                return None
-            content = doc[lt + 2:end2]
-            target = content.partition(" ")[0].strip()
-            if target.lower() != "xml":
-                if pending_text:
-                    pending_text = False
-                    flush_text()
-            if track_lines:
-                line += count("\n", lt, end2 + 2)
-            index_pos = end2 + 2
-            continue
-        if doc.startswith("<!DOCTYPE", lt):
-            depth = 0
-            scan = lt
-            doctype_end = -1
-            while scan < n:
-                char = doc[scan]
-                if char == "[":
-                    depth += 1
-                elif char == "]":
-                    depth -= 1
-                elif char == ">" and depth <= 0:
-                    doctype_end = scan + 1
-                    break
-                scan += 1
-            if doctype_end == -1:
-                return None
-            if track_lines:
-                line += count("\n", lt, doctype_end)
-            index_pos = doctype_end
-            continue
-        return None  # anything else: replay through the event pipeline
-
-    if open_elements or not root_seen:
-        return None  # unclosed element / no root -> replay for exact error
-    return order
-
-
-class FusedExpatMultiDriver:
-    """Drive every indexed machine straight from one set of expat callbacks.
-
-    The expat analogue of :func:`fused_pure_multi_evaluate`: each callback
-    consults the label-dispatch index and calls the scalar transition
-    functions only for interested machines.  Unlike the pure scan, solutions
-    are delivered (fanned out to subscribers) immediately as they are found —
-    expat either completes or raises, there is no replay, so immediate
-    delivery matches the incremental semantics of the event pipeline.
-
-    Two driving modes share the callbacks:
-
-    * :meth:`run` — the one-shot pull loop used by ``evaluate()``; the
-      driver owns the chunk iterable.
-    * ``incremental=True`` + :meth:`feed` / :meth:`finish` — the push
-      (session) mode: the *caller* owns the read loop and hands chunks to
-      ``Parse(chunk, 0)`` as they arrive.  Delivered pairs are buffered on
-      :attr:`emitted` (fan-out still happens immediately; the buffer is how
-      the session returns pairs per chunk), every handler is registered up
-      front because subscriptions may be added mid-stream, and the cached
-      text-runtime list is refreshed at each chunk boundary — registration
-      changes can only happen between chunks.
-    """
-
-    def __init__(self, index, incremental: bool = False) -> None:
-        parser = expat.ParserCreate()
-        parser.buffer_text = True
-        parser.ordered_attributes = True
-        parser.StartElementHandler = self._start_element
-        parser.EndElementHandler = self._end_element
-        self._index = index
-        self._incremental = incremental
-        self._text_runtimes = index.text_runtimes()
-        if incremental or self._text_runtimes:
-            parser.CharacterDataHandler = self._characters
-            parser.CommentHandler = self._misc
-            parser.ProcessingInstructionHandler = self._misc
-        self._parser = parser
-        self._dispatch = index.dispatch
-        #: The index's live ancestor chain (family residual checks read it
-        #: at emission time).  On a mid-stream restore the chain comes back
-        #: with the engine state, matching the primed parser position.
-        self._context = index.context
-        self._level = 0
-        self._order = 0
-        self._pending_text = False
+        self._sink = sink
+        self._bind()
+        self._started = False
         self._fed_bytes = False
-        #: Pairs delivered since the caller last drained (incremental mode).
-        self.emitted: List = [] if incremental else None
 
-    @property
-    def element_count(self) -> int:
-        """Number of start tags processed so far."""
-        return self._order
+    def _bind(self) -> None:
+        parser = self._parser
+        sink = self._sink
+        sink_start = sink.start
+
+        def start(name: str, attributes: List[str]) -> None:
+            pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
+            sink_start(name, pairs, parser.CurrentLineNumber)
+
+        parser.StartElementHandler = start
+        parser.EndElementHandler = sink.end
+        parser.CharacterDataHandler = sink.text
+        parser.CommentHandler = sink.misc
+        parser.ProcessingInstructionHandler = sink.misc
 
     def run(self, chunks) -> None:
         """Consume the whole document from an iterable of str/bytes chunks."""
-        parser = self._parser
-        fed_bytes = False
+        for chunk in chunks:
+            self.feed(chunk)
+        self.finish()
+
+    def feed(self, chunk: Union[str, bytes]) -> None:
+        """Push one str/bytes chunk through ``Parse(chunk, 0)``."""
+        if not self._started:
+            self._started = True
+            self._sink.start_document()
+        if isinstance(chunk, bytes):
+            self._fed_bytes = True
+        self._parse(chunk, False)
+
+    def finish(self) -> None:
+        """Signal end of input (``Parse(_, 1)``) and end the document."""
+        if not self._started:
+            self._started = True
+            self._sink.start_document()
+        self._parse(b"" if self._fed_bytes else "", True)
+        self._sink.end_document()
+
+    def _parse(self, chunk: Union[str, bytes], final: bool) -> None:
         try:
-            for chunk in chunks:
-                if isinstance(chunk, bytes):
-                    fed_bytes = True
-                parser.Parse(chunk, False)
-            parser.Parse(b"" if fed_bytes else "", True)
+            self._parser.Parse(chunk, final)
         except expat.ExpatError as exc:
             raise XMLSyntaxError(
                 str(exc),
                 line=getattr(exc, "lineno", None),
                 column=getattr(exc, "offset", None),
             ) from exc
-        self._flush_pending()
 
-    # ------------------------------------------------------------ push mode
+    # ------------------------------------------------------------ checkpoint
 
     def snapshot_state(self) -> dict:
         """JSON-able driver scalars for the checkpoint format.
 
         expat's parser itself cannot be serialized; the session snapshots
         the raw chunk prefix instead and :meth:`prime` re-drives a fresh
-        parser over it, after which these scalars are restored verbatim.
+        parser over it.  Restore needs none of these scalars — the restored
+        engine carries the level and pre-order, and :meth:`prime` recovers
+        the rest from the prefix — but the checkpoint layout keeps them.
         """
+        sink = self._sink
         return {
-            "level": self._level,
-            "order": self._order,
-            "pending_text": self._pending_text,
+            "level": len(sink.context),
+            "order": sink.order,
+            "pending_text": sink.in_text,
             "fed_bytes": self._fed_bytes,
         }
 
-    def prime(self, segments, state: dict) -> None:
+    def prime(self, segments) -> None:
         """Re-drive this *fresh* parser over the captured chunk prefix.
 
-        ``segments`` is the exact sequence of str/bytes chunks the original
-        parser consumed before the snapshot.  Replaying the identical input
-        reproduces all of expat's internal state — detected encoding,
-        open-element stack, buffered partial construct, line numbers — with
-        the machine-facing handlers swapped out for no-ops so no transition
-        runs twice (the machines are restored from the snapshot instead).
-        The handlers stay *registered* during the replay so expat's
-        text-buffering behaviour matches the original run exactly.
+        ``segments`` is the str/bytes input the original parser consumed
+        before the snapshot.  Replaying it reproduces all of expat's
+        internal state — detected encoding, open-element stack, buffered
+        partial construct, line numbers — while stand-in handlers keep the
+        machines untouched (the restored engine already holds their state)
+        and only track the open elements and whether the prefix ends inside
+        a run of text.  The open elements become the sink's ancestor chain
+        (snapshots written before the chain was checkpointed lack it).
         """
-        if self._order or self._level or self._fed_bytes:
+        if self._started:
             raise XMLSyntaxError("prime() requires a freshly created driver")
         parser = self._parser
-        noop = _prime_noop
-        saved = (
-            parser.StartElementHandler,
-            parser.EndElementHandler,
-            parser.CharacterDataHandler,
-            parser.CommentHandler,
-            parser.ProcessingInstructionHandler,
-        )
-        parser.StartElementHandler = noop
-        parser.EndElementHandler = noop
-        parser.CharacterDataHandler = noop
-        parser.CommentHandler = noop
-        parser.ProcessingInstructionHandler = noop
+        open_elements: List[str] = []
+        in_text = False
+
+        def start(name: str, _attributes) -> None:
+            nonlocal in_text
+            open_elements.append(name)
+            in_text = False
+
+        def end(_name: str) -> None:
+            nonlocal in_text
+            open_elements.pop()
+            in_text = False
+
+        def text(_data: str) -> None:
+            nonlocal in_text
+            in_text = in_text or bool(open_elements)
+
+        def other(*_) -> None:
+            nonlocal in_text
+            in_text = False
+
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        parser.CharacterDataHandler = text
+        parser.CommentHandler = other
+        parser.ProcessingInstructionHandler = other
         try:
             for segment in segments:
+                if isinstance(segment, bytes):
+                    self._fed_bytes = True
                 parser.Parse(segment, False)
         except expat.ExpatError as exc:  # pragma: no cover - snapshot corruption
             raise XMLSyntaxError(
@@ -941,120 +310,10 @@ class FusedExpatMultiDriver:
                 line=getattr(exc, "lineno", None),
             ) from exc
         finally:
-            (
-                parser.StartElementHandler,
-                parser.EndElementHandler,
-                parser.CharacterDataHandler,
-                parser.CommentHandler,
-                parser.ProcessingInstructionHandler,
-            ) = saved
-        self._level = state["level"]
-        self._order = state["order"]
-        self._pending_text = state["pending_text"]
-        self._fed_bytes = state["fed_bytes"]
-        if self.emitted:
-            self.emitted.clear()
-
-    def feed(self, chunk) -> None:
-        """Push one str/bytes chunk through ``Parse(chunk, 0)``."""
-        self._text_runtimes = self._index.text_runtimes()
-        if isinstance(chunk, bytes):
-            self._fed_bytes = True
-        try:
-            self._parser.Parse(chunk, False)
-        except expat.ExpatError as exc:
-            raise XMLSyntaxError(
-                str(exc),
-                line=getattr(exc, "lineno", None),
-                column=getattr(exc, "offset", None),
-            ) from exc
-
-    def finish(self) -> None:
-        """Signal end of input (``Parse(_, 1)``) and flush pending text."""
-        self._text_runtimes = self._index.text_runtimes()
-        try:
-            self._parser.Parse(b"" if self._fed_bytes else "", True)
-        except expat.ExpatError as exc:
-            raise XMLSyntaxError(
-                str(exc),
-                line=getattr(exc, "lineno", None),
-                column=getattr(exc, "offset", None),
-            ) from exc
-        self._flush_pending()
-
-    # ------------------------------------------------------ expat callbacks
-
-    def _flush_pending(self) -> None:
-        if self._pending_text:
-            self._pending_text = False
-            for runtime in self._text_runtimes:
-                statistics = runtime.statistics
-                if statistics is not None:
-                    statistics.text_chunks += 1
-
-    def _start_element(self, name: str, attributes: List[str]) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        level = self._level + 1
-        self._level = level
-        context = self._context
-        del context[level - 1 :]
-        context.append(name)
-        order = self._order
-        self._order = order + 1
-        runtimes = self._dispatch(name)
-        if not runtimes:
-            return
-        pairs = tuple(zip(attributes[0::2], attributes[1::2])) if attributes else ()
-        line = self._parser.CurrentLineNumber
-        for runtime in runtimes:
-            process_start_element(
-                runtime.machine, name, level, pairs, line, order,
-                runtime.statistics,
-            )
-
-    def _end_element(self, name: str) -> None:
-        if self._pending_text:
-            self._flush_pending()
-        level = self._level
-        self._level = level - 1
-        emitted = self.emitted
-        for runtime in self._dispatch(name):
-            solutions = process_end_element(
-                runtime.machine, name, level, runtime.statistics,
-                runtime.collector, eager_emission=runtime.eager,
-            )
-            if solutions:
-                runtime.deliver(solutions, emitted)
-        # Truncate *after* dispatch: family runtimes resolve residual paths
-        # against the chain of the element being closed.
-        del self._context[level - 1 :]
-
-    def _characters(self, data: str) -> None:
-        level = self._level
-        if level <= 0:
-            return
-        self._pending_text = True
-        for runtime in self._text_runtimes:
-            for machine_node in runtime.machine.text_nodes:
-                for entry in machine_node.stack.entries:
-                    if entry.string_parts is not None:
-                        entry.string_parts.append(data)
-                    if entry.direct_parts is not None and level == entry.level:
-                        entry.direct_parts.append(data)
-
-    def _misc(self, *args) -> None:
-        if self._pending_text:
-            self._flush_pending()
+            self._bind()
+        self._started = bool(segments)
+        self._sink.context[:] = open_elements
+        self._sink.in_text = in_text
 
 
-def _prime_noop(*args) -> None:
-    """Handler stand-in during checkpoint replay (see ``prime``)."""
-
-
-__all__ = [
-    "FusedExpatDriver",
-    "FusedExpatMultiDriver",
-    "fused_pure_evaluate",
-    "fused_pure_multi_evaluate",
-]
+__all__ = ["ExpatSource", "fused_pure_multi_evaluate"]

@@ -35,9 +35,10 @@ dozen subscriptions, should not even *dispatch* every event to every query.
    and per-event cost is O(matching machines), not O(registered queries).
    Character data reaches only text-collecting machines.
 
-``evaluate()`` additionally engages fused multi-query fast paths
-(:mod:`repro.core.fastpath`) that drive the dispatch index straight from the
-bulk scanner (pure) or expat callbacks, with no event objects at all.
+Every source — the bulk pure scan and expat (:mod:`repro.core.fastpath`),
+binary event frames and event objects (:meth:`push`) — drives one
+:class:`~repro.core.sink.ElementSink`, which owns the pre-order, the ancestor
+chain, dispatch and delivery.
 
 Subscription lifecycle
 ----------------------
@@ -73,12 +74,16 @@ still counts as ``delivered`` and is still collected for pull-style access).
 Statistics semantics
 --------------------
 
-Per-subscription statistics describe only the work *dispatched to that
-machine*: element/attribute counters cover the label classes the machine is
-interested in, and text counters cover text-collecting machines only.
-Solution counters (``solutions_distinct`` etc.) are exact.  Event-level
-totals can differ between the fused and event-pipeline drivers; the
-``(name, solution)`` output streams never do.
+One rule, whatever drove the engine.  The document-level counters
+(``events``, ``elements``, ``attributes``, ``max_depth``, ``text_chunks``)
+describe the stream the engine consumed since its last reset: the sink
+counts them once per event (a run of character data counts once however the
+parser split it), and every subscription reports the same values — a
+subscription that joined mid-stream included.  The machine-work counters
+(pushes, pops, flags, candidates, solutions, peaks) describe the work of
+the subscription's own machine, shared with the subscriptions that share
+that machine.  Both are identical across parsers, sessions, event frames
+and event objects.
 """
 
 from __future__ import annotations
@@ -102,19 +107,13 @@ if TYPE_CHECKING:  # deferred at runtime: session.py imports this module
     from .session import EventStreamSession
 
 from ..errors import EngineError
-from ..xmlstream.events import (
-    Characters,
-    EndElement,
-    Event,
-    StartElement,
-    as_event_iterable,
-)
+from ..xmlstream.events import Event, as_event_iterable
 from ..xmlstream.reader import DEFAULT_CHUNK_SIZE, StreamReader, TextSource
 from ..xmlstream.sax import event_batches, iter_events
 from ..xpath.ast import QueryTree
-from .builder import shared_compiled_cache, shared_planner
+from .builder import CompiledQuery, shared_compiled_cache, shared_planner
 from .engine import TwigMEvaluator
-from .fastpath import FusedExpatMultiDriver, fused_pure_multi_evaluate
+from .fastpath import ExpatSource, fused_pure_multi_evaluate
 from .queryindex import (
     FamilyRuntime,
     QueryIndex,
@@ -123,6 +122,7 @@ from .queryindex import (
     trie_path,
 )
 from .results import Match, ResultSet, Solution
+from .sink import ElementSink, with_document_counters
 
 #: What the engine accepts wherever a query is expected: a source string, a
 #: normalized twig, or (structurally — core never imports the facade) a
@@ -222,13 +222,15 @@ class MultiQueryEvaluator:
         self._collect_statistics = collect_statistics
         self._containment_sharing = containment_sharing
         self._auto_name_counter = 0
-        #: Global element pre-order counter.  Machines under label dispatch
-        #: see only a subset of start tags, so the engine owns the document
-        #: pre-order (the canonical solution identity) and injects it into
-        #: each dispatched evaluator per event.
-        self._element_order = 0
+        #: The one element sink every source of this engine drives; it owns
+        #: the document-global pre-order (the canonical solution identity).
+        self._sink = ElementSink(self._index, collect_statistics)
         self._finished = False
-        self._started = False
+
+    @property
+    def _started(self) -> bool:
+        """True once the current document has a start tag."""
+        return self._sink.order > 0
 
     # ------------------------------------------------------------ setup
 
@@ -359,6 +361,23 @@ class MultiQueryEvaluator:
         group.subscribers.append(subscription)
         self._subscriptions[name] = subscription
         return subscription
+
+    @classmethod
+    def _serving(cls, evaluator: TwigMEvaluator) -> "MultiQueryEvaluator":
+        """A one-subscription engine around a single-query evaluator.
+
+        The runtime wraps ``evaluator`` itself, so its machine, collector
+        and machine-work statistics receive the run.  The compiled query is
+        not taken from the shared cache; the engine is never closed.
+        """
+        engine = cls(collect_statistics=evaluator.collect_statistics)
+        source = evaluator.query.source
+        runtime = QueryRuntime(CompiledQuery("", evaluator.query), evaluator)
+        engine._index.add(runtime)
+        subscription = Subscription(name=source, source=source, runtime=runtime)
+        runtime.subscribers.append(subscription)
+        engine._subscriptions[source] = subscription
+        return engine
 
     def subscribe_many(
         self,
@@ -525,48 +544,9 @@ class MultiQueryEvaluator:
         advancing so a subscriber that joins mid-stream sees canonical
         document-global solution identities for the remainder.
         """
-        emitted: List[Match] = []
-        cls = event.__class__
-        if cls is StartElement or isinstance(event, StartElement):
-            self._started = True
-            # Maintain the live ancestor tag chain for family residual
-            # checks.  The level-based truncation self-heals across resets
-            # and replays: the document element (level 1) clears the chain.
-            context = self._index.context
-            del context[event.level - 1 :]
-            context.append(event.name)
-            # Inject the *global* pre-order index: a dispatched machine's own
-            # counter would only count the start tags it was shown, breaking
-            # the canonical NodeRef identity shared with single-query runs.
-            order = self._element_order
-            self._element_order = order + 1
-            for runtime in self._index.dispatch(event.name):
-                evaluator = runtime.evaluator
-                evaluator._element_order = order
-                evaluator.feed(event)  # start tags never emit solutions
-            return emitted
-        if cls is EndElement or isinstance(event, EndElement):
-            self._started = True
-            for runtime in self._index.dispatch(event.name):
-                solutions = runtime.evaluator.feed(event)
-                if solutions:
-                    runtime.deliver(solutions, emitted)
-            # Pop *after* dispatch: family runtimes resolve residual paths
-            # against the chain of the element being closed.
-            context = self._index.context
-            del context[event.level - 1 :]
-            return emitted
-        if cls is Characters or isinstance(event, Characters):
-            for runtime in self._index.text_runtimes():
-                runtime.evaluator.feed(event)  # text never emits solutions
-            return emitted
-        # Rare events (document boundaries, comments, PIs) go to every
-        # machine: EndDocument in particular validates stack emptiness.
-        for runtime in self._index.runtimes:
-            solutions = runtime.evaluator.feed(event)
-            if solutions:
-                runtime.deliver(solutions, emitted)
-        return emitted
+        sink = self._sink
+        sink.push(event)
+        return sink.drain()
 
     def session(
         self,
@@ -710,8 +690,7 @@ class MultiQueryEvaluator:
         except Exception as exc:
             # Leave the engine as it was before restore_session: empty.
             self.close()
-            self._element_order = 0
-            self._started = False
+            self._sink.reset()
             self._finished = False
             if isinstance(exc, (KeyError, IndexError, TypeError, ValueError)):
                 raise CheckpointError(f"malformed snapshot payload: {exc!r}") from exc
@@ -723,13 +702,33 @@ class MultiQueryEvaluator:
         parser: str = "native",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> Iterator[Match]:
-        """Yield :class:`~repro.core.results.Match` pairs incrementally."""
+        """Yield :class:`~repro.core.results.Match` pairs incrementally.
+
+        Event iterables and the pure parser's events are pushed one at a
+        time; expat drives the sink from its callbacks, one chunk at a time.
+        """
+        if not self._subscriptions:
+            raise EngineError("no queries registered")
+        sink = self._sink
         events = as_event_iterable(source)
-        if events is None:
-            events = iter_events(source, parser=parser, chunk_size=chunk_size)
-        for event in events:
-            for pair in self.feed(event):
-                yield pair
+        if events is None and parser == "expat":
+            expat_source = ExpatSource(sink)
+            try:
+                for chunk in StreamReader(source, chunk_size=chunk_size).raw_chunks():
+                    expat_source.feed(chunk)
+                    yield from sink.drain()
+                expat_source.finish()
+            except Exception:
+                self._reset_machines()
+                raise
+            yield from sink.drain()
+        else:
+            if events is None:
+                events = iter_events(source, parser=parser, chunk_size=chunk_size)
+            push = sink.push
+            for event in events:
+                push(event)
+                yield from sink.drain()
         self._finished = True
 
     def evaluate(
@@ -740,75 +739,69 @@ class MultiQueryEvaluator:
     ) -> Dict[str, ResultSet]:
         """Consume the whole stream and return a result set per subscription.
 
-        Fresh evaluators over document sources use the fused multi-query
-        fast paths: a single bulk scan (pure) or direct expat callbacks
-        driving the dispatch index with no event objects.  Event iterables
-        and mid-stream continuations run through the event pipeline.
+        A fresh engine over a complete in-memory document scans it in bulk
+        (pure); expat drives the sink from its callbacks for any source.
+        Event iterables, the pure parser over other sources and mid-stream
+        continuations push event objects.
         """
-        events = as_event_iterable(source)
-        if events is not None:
-            for _ in self.stream(events, parser=parser, chunk_size=chunk_size):
-                pass
-            return self.results()
         if not self._subscriptions:
             raise EngineError("no queries registered")
-        if not self._started and not self._finished:
-            for runtime in self._index.runtimes:
-                runtime.sync()
-            if (
-                parser in ("native", "pure")
-                and isinstance(source, str)
-                and not StreamReader._looks_like_path(source)
-            ):
-                deliveries: List[Tuple[QueryRuntime, List[Solution]]] = []
-                elements = fused_pure_multi_evaluate(self._index, source, deliveries)
-                if elements is not None:
-                    for runtime, solutions in deliveries:
-                        runtime.deliver(solutions)
-                    self._mark_finished(elements)
-                    return self.results()
-                # Construct the fast scan could not handle (or a syntax
-                # error): reset the partial state and replay through the
-                # event pipeline.  Deliveries were buffered, so no callback
-                # fires twice.
-                self._reset_machines()
-            elif parser == "expat":
-                driver = FusedExpatMultiDriver(self._index)
-                reader = StreamReader(source, chunk_size=chunk_size)
-                try:
-                    driver.run(reader.raw_chunks())
-                except Exception:
-                    # Leave the machines clean so a later evaluate() cannot
-                    # mix this failed run's partial state (or collected
-                    # solutions) into its answers.  Callbacks that already
-                    # fired stay fired — delivery is incremental by design.
+        sink = self._sink
+        if as_event_iterable(source) is not None:
+            for _ in self.stream(source):
+                pass
+            return self.results()
+        sink.emitted = None  # evaluate() returns result sets, not pairs
+        try:
+            if not self._started and not self._finished:
+                for runtime in self._index.runtimes:
+                    runtime.sync()
+                if (
+                    parser in ("native", "pure")
+                    and isinstance(source, str)
+                    and not StreamReader._looks_like_path(source)
+                ):
+                    deliveries = fused_pure_multi_evaluate(sink, source)
+                    if deliveries is not None:
+                        for runtime, solutions in deliveries:
+                            runtime.deliver(solutions)
+                        self._finished = True
+                        return self.results()
+                    # Construct the scan could not handle (or a syntax
+                    # error): reset the partial state and replay through the
+                    # event pipeline.  Deliveries were deferred, so no
+                    # callback fires twice.
                     self._reset_machines()
-                    raise
-                self._mark_finished(driver.element_count)
-                return self.results()
-        feed = self.feed
-        for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
-            for event in batch:
-                feed(event)
+                    sink.emitted = None
+                elif parser == "expat":
+                    try:
+                        ExpatSource(sink).run(
+                            StreamReader(source, chunk_size=chunk_size).raw_chunks()
+                        )
+                    except Exception:
+                        # Leave the machines clean so a later evaluate()
+                        # cannot mix this failed run's partial state (or
+                        # collected solutions) into its answers.  Callbacks
+                        # that already fired stay fired — delivery is
+                        # incremental by design.
+                        self._reset_machines()
+                        raise
+                    self._finished = True
+                    return self.results()
+            push = sink.push
+            for batch in event_batches(source, parser=parser, chunk_size=chunk_size):
+                for event in batch:
+                    push(event)
+        finally:
+            sink.emitted = []
         self._finished = True
         return self.results()
 
     def _reset_machines(self) -> None:
-        """Reset every machine (family collectors included) and the chain."""
+        """Reset every machine (family collectors included) and the sink."""
         for runtime in self._index.runtimes:
             runtime.reset()
-        del self._index.context[:]
-
-    def _mark_finished(self, element_count: int) -> None:
-        """Record stream completion on every runtime after a fused run."""
-        for runtime in self._index.runtimes:
-            evaluator = runtime.evaluator
-            evaluator._element_order = element_count
-            evaluator._started = True
-            evaluator._finished = True
-        self._element_order = element_count
-        self._started = True
-        self._finished = True
+        self._sink.reset()
 
     def results(self) -> Dict[str, ResultSet]:
         """Result sets accumulated so far, keyed by subscription name."""
@@ -833,9 +826,12 @@ class MultiQueryEvaluator:
 
     def statistics(self) -> Dict[str, Dict[str, int]]:
         """Engine counters per subscription (see the module docstring for
-        what the counters mean under label dispatch)."""
+        what each counter describes)."""
+        document = self._sink.statistics
         return {
-            name: subscription.runtime.evaluator.statistics.as_dict()
+            name: with_document_counters(
+                subscription.runtime.evaluator.statistics, document
+            )
             for name, subscription in self._subscriptions.items()
         }
 
@@ -846,9 +842,7 @@ class MultiQueryEvaluator:
             subscription.delivered = 0
             subscription.callback_errors = 0
             subscription.last_callback_error = None
-        self._element_order = 0
         self._finished = False
-        self._started = False
 
 
 def evaluate_many(

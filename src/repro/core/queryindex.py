@@ -29,19 +29,16 @@ Every per-registration record (:class:`QueryRuntime`, :class:`FamilyRuntime`,
 :class:`ResidualGroup`, trie nodes) uses ``__slots__`` so a million standing
 registrations stay within container memory.
 
-The index also owns the stream's **ancestor tag chain** (:attr:`QueryIndex.
-context`): every driver (event push, fused pure scan, fused expat, fused
-frame feed) keeps it current — append the tag on a start element, truncate
-after the end-element dispatch — so family runtimes can resolve residual
-path checks at emission time, while the chain of the closing element is
-still known.
+The index also holds the stream's **ancestor tag chain** (:attr:`QueryIndex.
+context`): the element sink (:mod:`repro.core.sink`) keeps it current —
+append the tag on a start element, pop it after the end-element dispatch —
+so family runtimes can resolve residual path checks at emission time, while
+the chain of the closing element is still known.
 
 Skipping a machine for a non-matching tag is semantically a no-op: the
 transition functions would have found an empty ``nodes_matching`` list and
 returned immediately.  The index turns that per-machine no-op into a single
-dictionary probe shared by all machines.  (Per-machine *statistics* under the
-index describe only the events actually dispatched to that machine — see
-``MultiQueryEvaluator``'s docstring.)
+dictionary probe shared by all machines.
 """
 
 from __future__ import annotations
@@ -443,7 +440,7 @@ class QueryIndex:
         #: Largest interest set ever materialised (``Engine.stats()``).
         self.peak_fanout = 0
         #: Live ancestor tag chain (document element first).  Maintained by
-        #: every driver; family runtimes read it at emission time.  The
+        #: the element sink; family runtimes read it at emission time.  The
         #: entry for an element is present from its start-element dispatch
         #: through the end of its end-element dispatch.
         self.context: List[str] = []

@@ -15,16 +15,17 @@ ends the document, returning the trailing pairs.  Chunks may be split at
 *any* byte offset — mid-tag, mid-entity, mid multibyte sequence — and the
 resulting pair stream is identical to the one-shot ``evaluate()`` answer.
 
-Two drivers, selected by ``parser``:
+Whatever the parser, the session drives the engine's one
+:class:`~repro.core.sink.ElementSink`, so pre-order, statistics and delivery
+are the engine's own.  The parser decides only what feeds the sink:
 
 * ``"pure"`` / ``"native"`` — the incremental
   :class:`~repro.xmlstream.tokenizer.StreamTokenizer` (bytes decoded by
-  :class:`~repro.xmlstream.reader.IncrementalByteDecoder`), each completed
-  event pushed through :meth:`MultiQueryEvaluator.push`.
-* ``"expat"`` — the fused
-  :class:`~repro.core.fastpath.FusedExpatMultiDriver` in incremental mode:
-  chunks go straight to ``Parse(chunk, 0)`` and callbacks drive the
-  dispatch index with no event objects.
+  :class:`~repro.xmlstream.reader.IncrementalByteDecoder`), whose completed
+  events are pushed into the sink.
+* ``"expat"`` — :class:`~repro.core.fastpath.ExpatSource` in incremental
+  mode: chunks go straight to ``Parse(chunk, 0)`` and the callbacks drive
+  the sink with no event objects.
 
 Engine-state contract
 ---------------------
@@ -55,12 +56,77 @@ from ..xmlstream.reader import IncrementalByteDecoder
 from ..xmlstream.sax import PARSER_BACKENDS
 from ..xmlstream.tokenizer import StreamTokenizer
 from .checkpoint import decode_spool, encode_spool, engine_state, make_snapshot
-from .fastpath import FusedExpatMultiDriver
-from .framepath import fused_frame_feed
+from .fastpath import ExpatSource
 from .results import Match
 
 
-class StreamSession:
+class _PushSession:
+    """What both push sessions share: the engine and the open/abort lifecycle."""
+
+    #: What ends a session early, for the "aborted by an earlier ..." error.
+    _failure = "parse error"
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+        self._finished = False
+        self._failed = False
+        self._aborted_elements = 0
+
+    @property
+    def engine(self):
+        """The :class:`MultiQueryEvaluator` this session drives."""
+        return self._engine
+
+    @property
+    def finished(self) -> bool:
+        """True once :meth:`finish` completed (or the session failed)."""
+        return self._finished
+
+    @property
+    def failed(self) -> bool:
+        """True when a feed raised and the session was aborted."""
+        return self._failed
+
+    @property
+    def element_count(self) -> int:
+        """Start tags seen so far (the global element pre-order position).
+
+        After an abort this reports the count at the moment of failure (the
+        abort itself resets the engine's live counter).
+        """
+        if self._failed:
+            return self._aborted_elements
+        return self._engine._sink.order
+
+    def _check_open(self) -> None:
+        if self._failed:
+            raise EngineError(f"session aborted by an earlier {self._failure}")
+        if self._finished:
+            raise EngineError("session already finished")
+
+    def _check_snapshot(self) -> None:
+        if self._failed:
+            raise CheckpointError("cannot snapshot an aborted session")
+        if self._finished:
+            raise CheckpointError(
+                "cannot snapshot a finished session; snapshot the engine instead"
+            )
+
+    def _abort(self) -> None:
+        """Reset every machine after a failed feed (the engine stays usable).
+
+        Mirrors the failed expat-run cleanup in ``evaluate()``: partial
+        machine state (and collected solutions) must not leak into a later
+        document; already-fired callbacks stay fired.
+        """
+        self._aborted_elements = self.element_count
+        self._failed = True
+        self._finished = True
+        self._engine._reset_machines()
+        self._engine._finished = False
+
+
+class StreamSession(_PushSession):
     """One push-mode document parse over a ``MultiQueryEvaluator``.
 
     Create via :meth:`MultiQueryEvaluator.session`.  Not thread-safe; feed
@@ -78,13 +144,10 @@ class StreamSession:
             raise ValueError(
                 f"unknown parser backend {parser!r}; expected one of {PARSER_BACKENDS}"
             )
-        self._engine = engine
+        super().__init__(engine)
         self.parser = parser
-        self._finished = False
-        self._failed = False
-        self._aborted_elements = 0
         if parser == "expat":
-            self._driver = FusedExpatMultiDriver(engine._index, incremental=True)
+            self._driver: Optional[ExpatSource] = ExpatSource(engine._sink)
             self._tokenizer = None
             # expat detects encodings itself; an explicit override means the
             # caller decodes better than expat would, so decode Python-side
@@ -105,34 +168,6 @@ class StreamSession:
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def engine(self):
-        """The :class:`MultiQueryEvaluator` this session drives."""
-        return self._engine
-
-    @property
-    def finished(self) -> bool:
-        """True once :meth:`finish` completed (or the session failed)."""
-        return self._finished
-
-    @property
-    def failed(self) -> bool:
-        """True when a chunk raised and the session was aborted."""
-        return self._failed
-
-    @property
-    def element_count(self) -> int:
-        """Start tags parsed so far (the global element pre-order position).
-
-        After an abort this reports the count at the moment of failure (the
-        abort itself resets the engine's live counter).
-        """
-        if self._failed:
-            return self._aborted_elements
-        if self._driver is not None:
-            return self._driver.element_count
-        return self._engine._element_order
-
     def feed_bytes(self, chunk: bytes) -> List[Match]:
         """Feed one byte chunk; return the pairs it completed.
 
@@ -145,7 +180,7 @@ class StreamSession:
                 return self._push_events(self._tokenizer.feed_bytes(chunk))
             if self._decoder is not None:
                 chunk = self._decoder.decode(chunk)  # type: ignore[assignment]
-            return self._feed_fused(chunk)
+            return self._feed_expat(chunk)
         except Exception:
             self._abort()
             raise
@@ -156,7 +191,7 @@ class StreamSession:
         try:
             if self._tokenizer is not None:
                 return self._push_events(self._tokenizer.feed(chunk))
-            return self._feed_fused(chunk)
+            return self._feed_expat(chunk)
         except Exception:
             self._abort()
             raise
@@ -170,23 +205,22 @@ class StreamSession:
         document.
         """
         self._check_open()
-        engine = self._engine
         try:
             if self._tokenizer is not None:
                 pairs = self._push_events(self._tokenizer.close())
-                engine._finished = True
-                return pairs
-            driver = self._driver
-            if self._decoder is not None:
-                # Flush the explicit-encoding decoder: raises EncodingError
-                # if the stream ended mid-multibyte-sequence (matching the
-                # tokenizer path), and feeds any final decoded text.
-                tail = self._decoder.decode(b"", final=True)
-                if tail:
-                    driver.feed(tail)
-            driver.finish()
-            pairs, driver.emitted = driver.emitted, []
-            engine._mark_finished(driver.element_count)
+            else:
+                driver = self._driver
+                if self._decoder is not None:
+                    # Flush the explicit-encoding decoder: raises
+                    # EncodingError if the stream ended mid-multibyte-sequence
+                    # (matching the tokenizer path), and feeds any final
+                    # decoded text.
+                    tail = self._decoder.decode(b"", final=True)
+                    if tail:
+                        driver.feed(tail)
+                driver.finish()
+                pairs = self._engine._sink.drain()
+            self._engine._finished = True
             return pairs
         except Exception:
             self._abort()
@@ -211,12 +245,7 @@ class StreamSession:
         engine itself (:meth:`MultiQueryEvaluator.snapshot`).  Subscription
         callbacks do not travel; re-bind them after restore.
         """
-        if self._failed:
-            raise CheckpointError("cannot snapshot an aborted session")
-        if self._finished:
-            raise CheckpointError(
-                "cannot snapshot a finished session; snapshot the engine instead"
-            )
+        self._check_snapshot()
         session_state: Dict[str, Any] = {"parser": self.parser}
         if self._tokenizer is not None:
             session_state["tokenizer"] = self._tokenizer.snapshot_state()
@@ -238,16 +267,13 @@ class StreamSession:
         if parser not in PARSER_BACKENDS:
             raise CheckpointError(f"unknown parser backend {parser!r} in snapshot")
         session = cls.__new__(cls)
-        session._engine = engine
+        _PushSession.__init__(session, engine)
         session.parser = parser
-        session._finished = False
-        session._failed = False
-        session._aborted_elements = 0
         if parser == "expat":
             session._tokenizer = None
             spool = decode_spool(state.get("spool", []))
-            driver = FusedExpatMultiDriver(engine._index, incremental=True)
-            driver.prime(spool, state["driver"])
+            driver = ExpatSource(engine._sink)
+            driver.prime(spool)
             session._driver = driver
             session._spool = spool
             decoder_state = state.get("decoder")
@@ -261,63 +287,29 @@ class StreamSession:
             session._decoder = None
             session._spool = None
             session._tokenizer = StreamTokenizer.restore_state(state["tokenizer"])
+            # The tokenizer's open elements are the sink's ancestor chain
+            # (snapshots written before the chain was checkpointed lack it).
+            engine._sink.context[:] = session._tokenizer._open_elements
         return session
 
     # ------------------------------------------------------------ internals
 
-    def _check_open(self) -> None:
-        if self._failed:
-            raise EngineError("session aborted by an earlier parse error")
-        if self._finished:
-            raise EngineError("session already finished")
-
     def _push_events(self, events) -> List[Match]:
-        push = self._engine.push
-        pairs: List[Match] = []
+        sink = self._engine._sink
+        push = sink.push
         for event in events:
-            emitted = push(event)
-            if emitted:
-                pairs.extend(emitted)
-        return pairs
+            push(event)
+        return sink.drain()
 
-    def _feed_fused(self, chunk: Union[str, bytes]) -> List[Match]:
-        driver = self._driver
+    def _feed_expat(self, chunk: Union[str, bytes]) -> List[Match]:
         spool = self._spool
         if spool is not None and chunk:
             # O(1) append per feed; adjacent same-type chunks are coalesced
             # lazily by encode_spool at snapshot time (eagerly concatenating
             # here would re-copy the whole prefix on every feed).
             spool.append(chunk)
-        driver.feed(chunk)
-        if driver.element_count and not self._engine._started:
-            # The fused driver bypasses engine.push, so mirror its
-            # started-flag bookkeeping: registrations from here on are
-            # mid-stream and must get private machines.
-            self._engine._started = True
-        pairs, driver.emitted = driver.emitted, []
-        return pairs
-
-    def _abort(self) -> None:
-        """Reset every machine after a parse error (engine stays usable).
-
-        Mirrors the failed fused-run cleanup in ``evaluate()``: partial
-        machine state (and collected solutions) must not leak into a later
-        document; already-fired callbacks stay fired.
-        """
-        self._aborted_elements = self.element_count
-        self._failed = True
-        self._finished = True
-        _reset_engine_after_abort(self._engine)
-
-
-def _reset_engine_after_abort(engine) -> None:
-    """Tear live machine state back down after an aborted document."""
-    for runtime in engine._index.runtimes:
-        runtime.evaluator.reset()
-        runtime.sync()
-    engine._element_order = 0
-    engine._started = False
-    engine._finished = False
+        self._driver.feed(chunk)
+        return self._engine._sink.drain()
 
 
 #: Parser label recorded in snapshots taken from an event session; distinct
@@ -325,20 +317,19 @@ def _reset_engine_after_abort(engine) -> None:
 EVENTS_PARSER = "events"
 
 
-class EventStreamSession:
+class EventStreamSession(_PushSession):
     """One push-mode document over *pre-parsed events* (no parser at all).
 
     This is the worker-side half of parse-once sharding (worker-pipe
     protocol v2): the front process tokenizes the document exactly once,
-    ships binary event frames, and each worker decodes them and pushes the
-    events straight into :meth:`MultiQueryEvaluator.push` — the dispatch
-    index runs with no tokenizer, no decoder and no expat instance.
+    ships binary event frames, and each worker walks them straight into the
+    engine's element sink — the dispatch index runs with no tokenizer and
+    no expat instance.
 
     The session mirrors :class:`StreamSession` semantics exactly —
-    document-global pre-order (the engine injects ``_element_order`` per
-    start tag), abort-on-error machine reset, eof validation via the
-    stream ends the producer emits — so a worker matching
-    from events is push-identical to one parsing raw XML.  It is also the
+    document-global pre-order (owned by the sink), abort-on-error machine
+    reset, eof validation via the stream ends the producer emits — so a
+    worker matching from events is push-identical to one parsing raw XML.  It is also the
     reason v2 checkpoint shards shrink: there is no parser carry-over to
     spool, so ``snapshot()`` embeds engine state only, and a restored
     session is simply a fresh shell over the restored engine (the front
@@ -348,63 +339,37 @@ class EventStreamSession:
     """
 
     parser = EVENTS_PARSER
+    _failure = "stream error"
 
     def __init__(self, engine) -> None:
-        self._engine = engine
-        self._finished = False
-        self._failed = False
-        self._aborted_elements = 0
+        super().__init__(engine)
         # Lazy per-document frame-codec state for feed_frame(); stays None
         # for producers that decode frames themselves and use feed_events.
         self._decoder = None
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def engine(self):
-        """The :class:`MultiQueryEvaluator` this session drives."""
-        return self._engine
-
-    @property
-    def finished(self) -> bool:
-        """True once :meth:`finish` completed (or the session failed)."""
-        return self._finished
-
-    @property
-    def failed(self) -> bool:
-        """True when a feed raised (or the producer aborted) and the
-        session was torn down."""
-        return self._failed
-
-    @property
-    def element_count(self) -> int:
-        """Start elements pushed so far (the global element pre-order)."""
-        if self._failed:
-            return self._aborted_elements
-        return self._engine._element_order
-
     def feed_events(self, events) -> List[Match]:
         """Push a run of decoded events; return the pairs they completed."""
         self._check_open()
-        push = self._engine.push
-        pairs: List[Match] = []
+        sink = self._engine._sink
+        push = sink.push
         try:
             for event in events:
-                emitted = push(event)
-                if emitted:
-                    pairs.extend(emitted)
+                push(event)
         except Exception:
             self.abort()
             raise
-        return pairs
+        return sink.drain()
 
     def feed_frame(self, frame: bytes) -> List[Match]:
         """Push one *binary event frame* (the protocol-v2 wire unit).
 
         Equivalent to ``feed_events(decoder.decode(frame))`` with the
-        session owning the decoder, but fused: the frame's records drive
-        the TwigM transitions straight off the wire bytes with no event
-        objects in between (:func:`~repro.core.framepath.fused_frame_feed`).
+        session owning the decoder, but the frame walk
+        (:meth:`~repro.xmlstream.eventcodec.EventFrameDecoder.walk`) calls
+        the engine's element sink straight off the wire fields, with no
+        event objects in between.
         Frames must arrive in production order from one
         :class:`~repro.xmlstream.eventcodec.EventFrameEncoder`; the
         session's codec state resets with the session, which is why a
@@ -414,11 +379,13 @@ class EventStreamSession:
         decoder = self._decoder
         if decoder is None:
             decoder = self._decoder = EventFrameDecoder()
+        sink = self._engine._sink
         try:
-            return fused_frame_feed(self._engine, decoder, frame)
+            decoder.walk(frame, sink)
         except Exception:
             self.abort()
             raise
+        return sink.drain()
 
     def finish(self) -> List[Match]:
         """Declare end of the event stream.
@@ -442,12 +409,8 @@ class EventStreamSession:
         worker is told to abort and must reset every machine exactly like a
         local parse error would (:meth:`StreamSession._abort`).
         """
-        if self._failed:
-            return
-        self._aborted_elements = self.element_count
-        self._failed = True
-        self._finished = True
-        _reset_engine_after_abort(self._engine)
+        if not self._failed:
+            self._abort()
 
     # ------------------------------------------------------------ snapshot
 
@@ -461,12 +424,7 @@ class EventStreamSession:
         which returns a fresh :class:`EventStreamSession` over the restored
         engine.
         """
-        if self._failed:
-            raise CheckpointError("cannot snapshot an aborted session")
-        if self._finished:
-            raise CheckpointError(
-                "cannot snapshot a finished session; snapshot the engine instead"
-            )
+        self._check_snapshot()
         return make_snapshot(engine_state(self._engine), {"parser": self.parser})
 
     @classmethod
@@ -481,14 +439,6 @@ class EventStreamSession:
                 f"not an event-session snapshot: parser={state.get('parser')!r}"
             )
         return cls(engine)
-
-    # ------------------------------------------------------------ internals
-
-    def _check_open(self) -> None:
-        if self._failed:
-            raise EngineError("session aborted by an earlier stream error")
-        if self._finished:
-            raise EngineError("session already finished")
 
 
 __all__ = ["EVENTS_PARSER", "EventStreamSession", "StreamSession"]

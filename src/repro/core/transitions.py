@@ -14,18 +14,20 @@ This module is the direct translation of Section 3.2 of the paper:
 * **characters(text, level)** — appended to the accumulators of entries that
   need text (value tests and ``text()`` output), and ignored everywhere else.
 
-All functions mutate the machine's stacks in place.  Two hot-path choices
-shape the signatures:
+All functions mutate the machine's stacks in place.  They are called from
+exactly two places: the element sink (:mod:`repro.core.sink`), which every
+parser, frame and event source drives, and the event-at-a-time
+:meth:`TwigMEvaluator.feed`.  Two hot-path choices shape the signatures:
 
 * The functions take *scalars* (``name``, ``level``, ...) instead of event
-  objects, so the fused fast paths (:mod:`repro.core.fastpath`) can drive
-  them straight from regex groups or expat callbacks without materialising
-  an event object per tag; :meth:`TwigMEvaluator.feed` unpacks events.
+  objects, so sources can drive them straight from regex groups, expat
+  callbacks or frame fields without materialising an event object per tag.
 * ``statistics`` may be ``None``: transition dispatch runs millions of times
   per document, so the counters the benchmarks rely on are optional behind a
-  cheap no-op mode (``TwigMEvaluator(collect_statistics=False)``); when a
-  statistics object is supplied the counters are maintained exactly as
-  before.
+  cheap no-op mode (``collect_statistics=False``).  Only *machine-work*
+  counters live here (pushes, pops, flags, candidates, solutions, peaks);
+  the document-level counters (events, elements, attributes, depth, text
+  chunks) are counted once per event by the caller.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ def process_start_element(
     statistics: Optional[EngineStatistics],
 ) -> None:
     """Handle a start-element event: push entries onto matching machine nodes."""
-    if statistics is not None:
-        statistics.elements += 1
-        statistics.attributes += len(attributes)
-        if level > statistics.max_depth:
-            statistics.max_depth = level
     # Inlined machine.nodes_matching: one dict probe on the hot path.
     matching = machine._match_cache.get(name)
     if matching is None:
@@ -198,19 +195,9 @@ def _attribute_satisfies(predicate: QueryNode, attributes) -> bool:
     return False
 
 
-def process_characters(
-    machine: TwigMachine,
-    text: str,
-    level: int,
-    statistics: Optional[EngineStatistics],
-) -> None:
+def process_characters(machine: TwigMachine, text: str, level: int) -> None:
     """Handle character data: feed the accumulators of text-collecting entries."""
-    if statistics is not None:
-        statistics.text_chunks += 1
-    text_nodes = machine.text_nodes
-    if not text_nodes:
-        return
-    for machine_node in text_nodes:
+    for machine_node in machine.text_nodes:
         for entry in machine_node.stack.entries:
             if entry.string_parts is not None:
                 entry.string_parts.append(text)
@@ -253,36 +240,64 @@ def process_end_element(
             continue
         entry = entries.pop()
         popped = True
+        candidates = entry.candidates
         if statistics is not None:
             statistics.pops += 1
             statistics.live_entries -= 1
-            if entry.candidates:
-                statistics.live_candidates -= len(entry.candidates)
+            if candidates:
+                statistics.live_candidates -= len(candidates)
 
         # is_unconditional is precomputed by the builder: a trivially-true
         # formula plus no value test means every pushed entry satisfies, so
         # the formula evaluation can be skipped entirely.
-        if not machine_node.is_unconditional and not _entry_satisfied(
-            machine_node, entry
-        ):
-            # The match fails its predicates: the entire set of pattern
-            # matches that flow through it is pruned here, without ever
-            # having been enumerated.
-            release_entry(entry)
-            continue
+        if not machine_node.is_unconditional:
+            query_node = machine_node.query_node
+            parts = entry.string_parts
+            string_value = "".join(parts) if parts is not None else None
+            value_test = query_node.value_test
+            if (
+                value_test is not None and not value_test.evaluate(string_value)
+            ) or not evaluate_formula(query_node.formula, entry.satisfied, string_value):
+                # The match fails its predicates: the entire set of pattern
+                # matches that flow through it is pruned here, without ever
+                # having been enumerated.
+                release_entry(entry)
+                continue
 
-        if machine_node.is_output or machine_node.text_output is not None:
-            _add_own_candidates(machine_node, entry, statistics, fragments)
+        # The entry's own candidates (element / text output).  They live on
+        # an entry that has already been popped, so they are never counted
+        # in ``live_candidates`` (candidates held on live entries only).
+        if machine_node.is_output:
+            node = entry.element
+            key = ("element", node.order)
+            if key not in candidates:
+                fragment = fragments.get(node.order) if fragments else None
+                candidates[key] = Solution(
+                    kind=SolutionKind.ELEMENT, node=node, fragment=fragment
+                )
+                if statistics is not None:
+                    statistics.candidates_created += 1
+        if machine_node.text_output is not None:
+            text = entry.direct_text()
+            if text:
+                node = entry.element
+                key = ("text", node.order)
+                if key not in candidates:
+                    candidates[key] = Solution(
+                        kind=SolutionKind.TEXT, node=node, value=text
+                    )
+                    if statistics is not None:
+                        statistics.candidates_created += 1
 
-        emit_here = machine_node.parent is None or (
+        parent = machine_node.parent
+        if parent is None or (
             eager_emission
             and not machine_node.is_predicate_branch
             and machine_node.ancestors_unconditional
-        )
-        if emit_here:
+        ):
             if statistics is not None:
-                statistics.solutions_emitted += len(entry.candidates)
-            for solution in entry.candidates.values():
+                statistics.solutions_emitted += len(candidates)
+            for solution in candidates.values():
                 if collector.add(solution):
                     if statistics is not None:
                         statistics.solutions_distinct += 1
@@ -291,7 +306,7 @@ def process_end_element(
             continue
 
         # Inlined MachineStack.entries_for_axis.
-        parent_entries = machine_node.parent.stack.entries
+        parent_entries = parent.stack.entries
         if machine_node.axis is _DESCENDANT:
             targets = [t for t in parent_entries if t.level < level]
         else:
@@ -320,43 +335,3 @@ def process_end_element(
         if live_candidates > statistics.peak_candidate_count:
             statistics.peak_candidate_count = live_candidates
     return new_solutions
-
-
-def _entry_satisfied(machine_node: MachineNode, entry: StackEntry) -> bool:
-    """Evaluate the query node's predicate formula and value test for an entry."""
-    query_node = machine_node.query_node
-    parts = entry.string_parts
-    string_value = "".join(parts) if parts is not None else None
-    if query_node.value_test is not None and not query_node.value_test.evaluate(string_value):
-        return False
-    return evaluate_formula(query_node.formula, entry.satisfied, string_value)
-
-
-def _add_own_candidates(
-    machine_node: MachineNode,
-    entry: StackEntry,
-    statistics: Optional[EngineStatistics],
-    fragments: Optional[Dict[int, str]],
-) -> None:
-    """Attach the candidates contributed by this entry itself (element / text output)."""
-    # Note: candidates added here live on an entry that has already been
-    # popped, so they are never counted in ``live_candidates`` (which tracks
-    # candidates held on live stack entries only).
-    if machine_node.is_output:
-        fragment = fragments.get(entry.element.order) if fragments else None
-        before = entry.candidate_count
-        entry.add_candidate(
-            Solution(kind=SolutionKind.ELEMENT, node=entry.element, fragment=fragment)
-        )
-        if entry.candidate_count > before and statistics is not None:
-            statistics.candidates_created += 1
-    text_output = machine_node.text_output
-    if text_output is not None:
-        text = entry.direct_text() or ""
-        if text:
-            before = entry.candidate_count
-            entry.add_candidate(
-                Solution(kind=SolutionKind.TEXT, node=entry.element, value=text)
-            )
-            if entry.candidate_count > before and statistics is not None:
-                statistics.candidates_created += 1

@@ -45,7 +45,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..core.builder import shared_compiled_cache
-from ..core.docstream import DocumentBoundaryScanner, DocumentStreamSession
+from ..core.docstream import DocumentStreamSession
 from ..core.multi import MultiQueryEvaluator
 from ..core.results import Solution
 from ..core.session import StreamSession
@@ -228,7 +228,6 @@ class ServiceServer:
         #: Server-side boundary splitter, kept in lockstep with the stream
         #: session's own scanner so each document's eof broadcast lands
         #: between that document's solutions and the next document's.
-        self._stream_splitter: Optional[DocumentBoundaryScanner] = None
         self._stream_options: Dict[str, Any] = {}
         self._stream_docs_acked = 0
         self._stream_failed_acked = 0
@@ -610,14 +609,6 @@ class ServiceServer:
         self._session = session
         self._stream = stream
         if stream is not None:
-            # Clone the session's boundary scanner so the server-side
-            # splitter resumes mid-document in lockstep with it.
-            scanner = stream._scanner
-            self._stream_splitter = (
-                DocumentBoundaryScanner.restore_state(scanner.snapshot_state())
-                if scanner is not None
-                else DocumentBoundaryScanner()
-            )
             stream_meta = meta.get("stream") or {}
             self._stream_options = {
                 key: stream_meta.get(key)
@@ -1212,7 +1203,6 @@ subscribe_many` provides the rollback: if any item fails, every
             window_documents=options.get("window_documents") or 100,
             on_error=options.get("on_error", "skip"),
         )
-        self._stream_splitter = DocumentBoundaryScanner()
         self._stream_options = options
         self._stream_docs_acked = 0
         self._stream_failed_acked = 0
@@ -1235,7 +1225,6 @@ subscribe_many` provides the rollback: if any item fails, every
         stats = stream.close()
         stats.update(self._stream_monitor_stats())
         self._stream = None
-        self._stream_splitter = None
         self._stream_options = {}
         if self._stream_monitor_task is not None:
             self._stream_monitor_task.cancel()
@@ -1266,17 +1255,15 @@ subscribe_many` provides the rollback: if any item fails, every
         document lifecycle in both modes.
         """
         stream = self._stream
-        splitter = self._stream_splitter
-        assert stream is not None and splitter is not None
+        assert stream is not None
         self._stream_last_feed = time.monotonic()
         self._arm_stream_monitor()
         started = time.perf_counter()
         try:
-            # Feed the session one boundary-split segment at a time so each
-            # document's eof broadcast lands between its own solutions and
-            # the next document's.
-            for segment, _completed in splitter.feed(data):
-                pairs = stream.feed_text(segment)
+            # The session yields each boundary-split segment's pairs as it
+            # processes it, so each document's eof broadcast lands between
+            # its own solutions and the next document's.
+            for pairs in stream.feed_segments(data):
                 if pairs:
                     self._route(pairs)
                 self._broadcast_stream_deltas(stream)

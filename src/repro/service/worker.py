@@ -217,8 +217,8 @@ class ShardWorker:
         surface as an ``aborted`` push exactly like a local parse error
         (they indicate a corrupt pipe or an engine bug, both fatal to the
         document but contained to it).  The session owns the frame codec
-        and drives the fused decode-into-transitions path, so no event
-        objects are materialised for the dominant record kinds.
+        and walks each frame straight into the engine's element sink, so
+        no event objects are materialised.
         """
         if doc == self._failed_doc:
             return  # in-flight payload for an epoch the abort already killed

@@ -36,7 +36,7 @@ the string table, truncated payloads and trailing garbage all raise
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ViteXError
 from .events import (
@@ -79,12 +79,21 @@ class EventCodecError(ViteXError):
 
 
 def _write_varint(out: bytearray, value: int) -> None:
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if value < 0:
         raise EventCodecError(f"cannot encode negative varint {value}")
     while value > 0x7F:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
     out.append(value)
+
+
+def _write_text(out: bytearray, text: str) -> None:
+    raw = text.encode("utf-8")
+    _write_varint(out, len(raw))
+    out += raw
 
 
 def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
@@ -111,18 +120,118 @@ class EventFrameEncoder:
     fresh encoder per document (or call :meth:`reset` between documents)
     and keep it paired with exactly one :class:`EventFrameDecoder` on the
     consuming side.
+
+    The encoder is a *record handler*: one writer method per record type,
+    each taking the record's fields with ``position`` and ``level`` last —
+    ``start_element(name, attributes, line, position, level)``,
+    ``end_element(name, line, position, level)``,
+    ``characters(text, position, level)``,
+    ``comment(text, position, level)``,
+    ``processing_instruction(target, data, position, level)``,
+    ``start_document(position)`` and ``end_document(position)``.  Putting
+    the positional bookkeeping last lets the element sink, which derives
+    both itself, take records with its own compact methods.  Writers append to a pending frame that :meth:`frame` closes.
+    :meth:`encode` turns event objects into writer calls, and the element
+    sink's tee (the document stream's retention spool) calls the writers
+    directly, so both produce the same bytes for the same records.
     """
 
-    __slots__ = ("_names", "_last_position")
+    __slots__ = ("_names", "_last_position", "_body", "_count")
 
     def __init__(self) -> None:
         self._names: Dict[str, int] = {}
         self._last_position = 0
+        self._body = bytearray()
+        self._count = 0
 
     def reset(self) -> None:
         """Forget all interned names; start a new document."""
         self._names.clear()
         self._last_position = 0
+        self._body = bytearray()
+        self._count = 0
+
+    @property
+    def pending_records(self) -> int:
+        """Records written since the last :meth:`frame`."""
+        return self._count
+
+    def frame(self) -> bytes:
+        """Close the records written since the last frame into one frame."""
+        out = bytearray((_FRAME_MAGIC,))
+        _write_varint(out, self._count)
+        out += self._body
+        self._body = bytearray()
+        self._count = 0
+        return bytes(out)
+
+    def encode(self, events: Iterable[Event]) -> bytes:
+        """Return one frame holding ``events`` (possibly empty)."""
+        start_element = self.start_element
+        end_element = self.end_element
+        characters = self.characters
+        for event in events:
+            cls = event.__class__
+            # Exact classes first, by stream frequency: the fields are read
+            # by index (position, name/text, level, attributes, line).
+            if cls is StartElement:
+                start_element(event[1], event[3], event[4], event[0], event[2])
+            elif cls is EndElement:
+                end_element(event[1], event[3], event[0], event[2])
+            elif cls is Characters:
+                characters(event[1], event[0], event[2])
+            elif isinstance(event, StartElement):
+                start_element(
+                    event.name, event.attributes, event.line, event.position, event.level
+                )
+            elif isinstance(event, EndElement):
+                end_element(event.name, event.line, event.position, event.level)
+            elif isinstance(event, Characters):
+                characters(event.text, event.position, event.level)
+            elif isinstance(event, Comment):
+                self.comment(event.text, event.position, event.level)
+            elif isinstance(event, ProcessingInstruction):
+                self.processing_instruction(
+                    event.target, event.data, event.position, event.level
+                )
+            elif isinstance(event, StartDocument):
+                self.start_document(event.position)
+            elif isinstance(event, EndDocument):
+                self.end_document(event.position)
+            else:
+                raise EventCodecError(
+                    f"cannot encode object of type {type(event).__name__}"
+                )
+        return self.frame()
+
+    # ------------------------------------------------------- record writers
+    #
+    # The hot writers (start, end, characters) inline the single-byte cases
+    # of their record header, varint and name writes: the encoder runs in
+    # the sharding front, where every microsecond is serial overhead no
+    # worker count can amortise.  The byte output is identical to the
+    # helper paths.
+
+    def _record(self, code: int, position: int) -> bytearray:
+        """Open one record: type code plus the position delta."""
+        delta = position - self._last_position
+        self._last_position = position
+        self._count += 1
+        body = self._body
+        self._header(body, code, delta)
+        return body
+
+    @staticmethod
+    def _header(body: bytearray, code: int, delta: int) -> None:
+        if delta < 0:
+            # Positions are monotonic per document; a producer that
+            # rewinds (tests, hand-built streams) still encodes, just
+            # not delta-compactly: flag with a zig-zag-style escape.
+            body.append(0x7F)
+            _write_varint(body, -delta)
+            delta = 0
+        body.append(code)
+        _write_varint(body, delta)
 
     def _write_name(self, out: bytearray, name: str) -> None:
         index = self._names.get(name)
@@ -130,149 +239,151 @@ class EventFrameEncoder:
             _write_varint(out, index)
             return
         self._names[name] = len(self._names) + 1
-        _write_varint(out, 0)
-        raw = name.encode("utf-8")
-        _write_varint(out, len(raw))
-        out += raw
+        out.append(0)
+        _write_text(out, name)
 
-    @staticmethod
-    def _write_text(out: bytearray, text: str) -> None:
-        raw = text.encode("utf-8")
-        _write_varint(out, len(raw))
-        out += raw
+    def start_document(self, position: int) -> None:
+        self._record(_T_START_DOCUMENT, position)
 
-    def encode(self, events: Iterable[Event]) -> bytes:
-        """Return one frame holding ``events`` (possibly empty).
+    def end_document(self, position: int) -> None:
+        self._record(_T_END_DOCUMENT, position)
 
-        The loop body inlines the varint/name/text writes for the dominant
-        event kinds — the encoder runs in the sharding front, where every
-        microsecond spent here is serial overhead no worker count can
-        amortise.  Multi-byte varints and first-occurrence names fall back
-        to the shared helpers; the byte output is identical either way.
-        """
-        out = bytearray((_FRAME_MAGIC,))
-        body = bytearray()
+    def start_element(
+        self,
+        name: str,
+        attributes: Tuple[Tuple[str, str], ...],
+        line: Optional[int],
+        position: int,
+        level: int,
+    ) -> None:
+        body = self._body
         append = body.append
+        self._count += 1
+        delta = position - self._last_position
+        self._last_position = position
+        if 0 <= delta < 0x80:
+            append(_T_START_ELEMENT)
+            append(delta)
+        else:
+            self._header(body, _T_START_ELEMENT, delta)
         names = self._names
-        count = 0
-        last = self._last_position
-        for event in events:
-            count += 1
-            position = event[0]
-            delta = position - last
-            last = position
-            if delta < 0:
-                # Positions are monotonic per document; a producer that
-                # rewinds (tests, hand-built streams) still encodes, just
-                # not delta-compactly: flag with a zig-zag-style escape.
-                append(0x7F)
-                _write_varint(body, -delta)
-                delta = 0
-            cls = event.__class__
-            if cls is StartElement or isinstance(event, StartElement):
-                append(_T_START_ELEMENT)
-                if delta < 0x80:
-                    append(delta)
-                else:
-                    _write_varint(body, delta)
-                index = names.get(event.name)
+        index = names.get(name)
+        if index is not None and index < 0x80:
+            append(index)
+        else:
+            self._write_name(body, name)
+        if 0 <= level < 0x80:
+            append(level)
+        else:
+            _write_varint(body, level)
+        if attributes:
+            _write_varint(body, len(attributes))
+            for attr_name, attr_value in attributes:
+                index = names.get(attr_name)
                 if index is not None and index < 0x80:
                     append(index)
                 else:
-                    self._write_name(body, event.name)
-                level = event.level
-                if 0 <= level < 0x80:
-                    append(level)
+                    self._write_name(body, attr_name)
+                raw = attr_value.encode("utf-8")
+                if len(raw) < 0x80:
+                    append(len(raw))
                 else:
-                    _write_varint(body, level)
-                attributes = event.attributes
-                attr_count = len(attributes)
-                if attr_count < 0x80:
-                    append(attr_count)
-                else:
-                    _write_varint(body, attr_count)
-                for attr_name, attr_value in attributes:
-                    index = names.get(attr_name)
-                    if index is not None and index < 0x80:
-                        append(index)
-                    else:
-                        self._write_name(body, attr_name)
-                    raw = attr_value.encode("utf-8")
-                    raw_len = len(raw)
-                    if raw_len < 0x80:
-                        append(raw_len)
-                    else:
-                        _write_varint(body, raw_len)
-                    body += raw
-                line = 0 if event.line is None else event.line + 1
-                if 0 <= line < 0x80:
-                    append(line)
-                else:
-                    _write_varint(body, line)
-            elif cls is EndElement or isinstance(event, EndElement):
-                append(_T_END_ELEMENT)
-                if delta < 0x80:
-                    append(delta)
-                else:
-                    _write_varint(body, delta)
-                index = names.get(event.name)
-                if index is not None and index < 0x80:
-                    append(index)
-                else:
-                    self._write_name(body, event.name)
-                level = event.level
-                if 0 <= level < 0x80:
-                    append(level)
-                else:
-                    _write_varint(body, level)
-                line = 0 if event.line is None else event.line + 1
-                if 0 <= line < 0x80:
-                    append(line)
-                else:
-                    _write_varint(body, line)
-            elif cls is Characters or isinstance(event, Characters):
-                append(_T_CHARACTERS)
-                if delta < 0x80:
-                    append(delta)
-                else:
-                    _write_varint(body, delta)
-                raw = event.text.encode("utf-8")
-                raw_len = len(raw)
-                if raw_len < 0x80:
-                    append(raw_len)
-                else:
-                    _write_varint(body, raw_len)
+                    _write_varint(body, len(raw))
                 body += raw
-                level = event.level
-                if 0 <= level < 0x80:
-                    append(level)
-                else:
-                    _write_varint(body, level)
-            elif isinstance(event, Comment):
-                append(_T_COMMENT)
-                _write_varint(body, delta)
-                self._write_text(body, event.text)
-                _write_varint(body, event.level)
-            elif isinstance(event, ProcessingInstruction):
-                append(_T_PROCESSING_INSTRUCTION)
-                _write_varint(body, delta)
-                self._write_text(body, event.target)
-                self._write_text(body, event.data)
-                _write_varint(body, event.level)
-            elif isinstance(event, StartDocument):
-                append(_T_START_DOCUMENT)
-                _write_varint(body, delta)
-            elif isinstance(event, EndDocument):
-                append(_T_END_DOCUMENT)
-                _write_varint(body, delta)
-            else:
-                raise EventCodecError(
-                    f"cannot encode object of type {type(event).__name__}"
-                )
-        self._last_position = last
-        _write_varint(out, count)
-        out += body
-        return bytes(out)
+        else:
+            append(0)
+        line = 0 if line is None else line + 1
+        if 0 <= line < 0x80:
+            append(line)
+        else:
+            _write_varint(body, line)
+
+    def end_element(
+        self, name: str, line: Optional[int], position: int, level: int
+    ) -> None:
+        body = self._body
+        append = body.append
+        self._count += 1
+        delta = position - self._last_position
+        self._last_position = position
+        if 0 <= delta < 0x80:
+            append(_T_END_ELEMENT)
+            append(delta)
+        else:
+            self._header(body, _T_END_ELEMENT, delta)
+        index = self._names.get(name)
+        if index is not None and index < 0x80:
+            append(index)
+        else:
+            self._write_name(body, name)
+        if 0 <= level < 0x80:
+            append(level)
+        else:
+            _write_varint(body, level)
+        line = 0 if line is None else line + 1
+        if 0 <= line < 0x80:
+            append(line)
+        else:
+            _write_varint(body, line)
+
+    def characters(self, text: str, position: int, level: int) -> None:
+        body = self._body
+        self._count += 1
+        delta = position - self._last_position
+        self._last_position = position
+        if 0 <= delta < 0x80:
+            body.append(_T_CHARACTERS)
+            body.append(delta)
+        else:
+            self._header(body, _T_CHARACTERS, delta)
+        _write_text(body, text)
+        if 0 <= level < 0x80:
+            body.append(level)
+        else:
+            _write_varint(body, level)
+
+    def comment(self, text: str, position: int, level: int) -> None:
+        body = self._record(_T_COMMENT, position)
+        _write_text(body, text)
+        _write_varint(body, level)
+
+    def processing_instruction(
+        self, target: str, data: str, position: int, level: int
+    ) -> None:
+        body = self._record(_T_PROCESSING_INSTRUCTION, position)
+        _write_text(body, target)
+        _write_text(body, data)
+        _write_varint(body, level)
+
+
+class _EventBuilder:
+    """Record handler that rebuilds the event objects (:meth:`decode`)."""
+
+    __slots__ = ("append",)
+
+    def __init__(self, events: List[Event]) -> None:
+        self.append = events.append
+
+    def start_document(self, position: int) -> None:
+        self.append(StartDocument(position))
+
+    def end_document(self, position: int) -> None:
+        self.append(EndDocument(position))
+
+    def start_element(self, name, attributes, line, position, level) -> None:
+        self.append(StartElement(position, name, level, attributes, line))
+
+    def end_element(self, name, line, position, level) -> None:
+        self.append(EndElement(position, name, level, line))
+
+    def characters(self, text, position, level) -> None:
+        self.append(Characters(position, text, level))
+
+    def comment(self, text, position, level) -> None:
+        self.append(Comment(position, text, level))
+
+    def processing_instruction(self, target, data, position, level) -> None:
+        self.append(ProcessingInstruction(position, target, data, level))
 
 
 class EventFrameDecoder:
@@ -294,7 +405,18 @@ class EventFrameDecoder:
         self._last_position = 0
 
     def decode(self, frame: bytes) -> List[Event]:
-        """Return the exact event list ``frame`` was encoded from.
+        """Return the exact event list ``frame`` was encoded from."""
+        events: List[Event] = []
+        self.walk(frame, _EventBuilder(events))
+        return events
+
+    def walk(self, frame: bytes, handler) -> None:
+        """Replay ``frame``'s records as calls on a record ``handler``.
+
+        ``handler`` has one method per record type, named and shaped like
+        :class:`EventFrameEncoder`'s writers: :meth:`decode` rebuilds event
+        objects, the element sink drives the TwigM transitions straight off
+        the wire fields, and an encoder re-encodes.
 
         The record loop inlines every field read: at roughly five varints
         per record, per-field helper calls are the dominant decode cost,
@@ -302,13 +424,15 @@ class EventFrameDecoder:
         fields of a real document.  Multi-byte varints fall back to
         :func:`_read_varint`; truncation is policed by the ``IndexError``
         trap around the loop plus explicit bounds checks on string slices
-        (slicing past the end would silently shorten, not raise).
+        (slicing past the end would silently shorten, not raise).  Records
+        handled before an error stay handled.
         """
         if not frame or frame[0] != _FRAME_MAGIC:
             raise EventCodecError("not an event frame (bad magic byte)")
         count, offset = _read_varint(frame, 1)
-        events: List[Event] = []
-        append = events.append
+        start_element = handler.start_element
+        end_element = handler.end_element
+        characters = handler.characters
         names = self._names
         last = self._last_position
         length = len(frame)
@@ -424,14 +548,12 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         raw_line, offset = _read_varint(frame, offset)
-                    append(
-                        StartElement(
-                            position,
-                            name,
-                            level,
-                            tuple(attributes),
-                            None if raw_line == 0 else raw_line - 1,
-                        )
+                    start_element(
+                        name,
+                        tuple(attributes) if attr_count else (),
+                        None if raw_line == 0 else raw_line - 1,
+                        position,
+                        level,
                     )
                 elif code == _T_END_ELEMENT:
                     byte = frame[offset]
@@ -474,13 +596,8 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         raw_line, offset = _read_varint(frame, offset)
-                    append(
-                        EndElement(
-                            position,
-                            name,
-                            level,
-                            None if raw_line == 0 else raw_line - 1,
-                        )
+                    end_element(
+                        name, None if raw_line == 0 else raw_line - 1, position, level
                     )
                 elif code == _T_CHARACTERS:
                     byte = frame[offset]
@@ -502,7 +619,7 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         level, offset = _read_varint(frame, offset)
-                    append(Characters(position, text, level))
+                    characters(text, position, level)
                 elif code == _T_COMMENT:
                     byte = frame[offset]
                     if byte < 0x80:
@@ -523,7 +640,7 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         level, offset = _read_varint(frame, offset)
-                    append(Comment(position, text, level))
+                    handler.comment(text, position, level)
                 elif code == _T_PROCESSING_INSTRUCTION:
                     byte = frame[offset]
                     if byte < 0x80:
@@ -557,11 +674,11 @@ class EventFrameDecoder:
                         offset += 1
                     else:
                         level, offset = _read_varint(frame, offset)
-                    append(ProcessingInstruction(position, target, data, level))
+                    handler.processing_instruction(target, data, position, level)
                 elif code == _T_START_DOCUMENT:
-                    append(StartDocument(position))
+                    handler.start_document(position)
                 elif code == _T_END_DOCUMENT:
-                    append(EndDocument(position))
+                    handler.end_document(position)
                 else:
                     raise EventCodecError(
                         f"corrupt frame: unknown type code {code}"
@@ -578,4 +695,3 @@ class EventFrameDecoder:
                 f"the last record"
             )
         self._last_position = last
-        return events

@@ -94,6 +94,19 @@ class TestRestoreSemantics:
             assert results == expected_results
 
     @pytest.mark.parametrize("parser", PARSERS)
+    def test_snapshot_without_ancestor_chain_resumes(self, parser):
+        # Snapshots written before the engine checkpointed its ancestor
+        # chain lack "context"; the session's parse state rebuilds it.
+        with _engine_with_queries() as reference:
+            expected = list(reference.stream(DOC_PREFIX + DOC_SUFFIX, parser=parser))
+        prefix_pairs, snapshot = _snapshot_mid_document(parser)
+        del snapshot["engine"]["context"]
+        with MultiQueryEvaluator() as restored:
+            session = restored.restore_session(snapshot)
+            pairs = prefix_pairs + session.feed_text(DOC_SUFFIX) + session.finish()
+        assert [(n, s.key()) for n, s in pairs] == [(n, s.key()) for n, s in expected]
+
+    @pytest.mark.parametrize("parser", PARSERS)
     def test_restored_session_can_be_snapshotted_again(self, parser):
         # Chained checkpoints: auto-checkpoint keeps running after a resume.
         _, snapshot = _snapshot_mid_document(parser)

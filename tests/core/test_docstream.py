@@ -126,23 +126,19 @@ class TestRetentionSpool:
 
     def test_document_count_eviction(self):
         spool = RetentionSpool(max_documents=2)
-        from repro.xmlstream.events import StartElement
-
         for seq in range(4):
-            spool.begin_document(seq)
-            spool.add_events([StartElement(0, "a", 1, (), None)], 1)
+            spool.begin_document(seq).start_element("a", (), None, 0, 1)
+            spool.add_frame(1)
             spool.seal_document()
         assert spool.documents == 2
         assert spool.evicted_documents == 2
         assert [sealed for sealed, _ in spool.replay_units()] == [True, True]
 
     def test_byte_eviction(self):
-        from repro.xmlstream.events import Characters
-
         spool = RetentionSpool(max_bytes=64)
         for seq in range(8):
-            spool.begin_document(seq)
-            spool.add_events([Characters(0, "x" * 32, 1)], 0)
+            spool.begin_document(seq).characters("x" * 32, 0, 1)
+            spool.add_frame(0)
             spool.seal_document()
         assert spool.byte_size <= 64
         assert spool.evicted_documents > 0
@@ -229,7 +225,7 @@ class TestDocumentStream:
         session.close()
         assert session.documents == 20
         assert session.elements == 20 * 4
-        assert engine._element_order == 0  # between documents after reset
+        assert engine._sink.order == 0  # between documents after reset
         engine.close()
 
     def test_delivered_counters_survive_document_boundaries(self):
@@ -290,7 +286,7 @@ class TestDocumentStream:
         with pytest.raises(EngineError):
             session.feed_text("<a/>")
         # engine is left clean for other surfaces
-        assert engine._element_order == 0 and not engine._started
+        assert engine._sink.order == 0 and not engine._started
         engine.close()
 
     def test_window_stats(self):

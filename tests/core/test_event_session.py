@@ -166,7 +166,7 @@ class TestSemantics:
         session.feed_events(events)
         session.abort()  # what the worker does on the front's abort command
         assert session.failed
-        assert engine._element_order == 0
+        assert engine._sink.order == 0
         assert not engine._started
 
     def test_abort_resets_machines_and_preserves_count(self):
@@ -179,7 +179,7 @@ class TestSemantics:
         session.abort()
         assert session.failed and session.finished
         assert session.element_count == counted  # frozen at the failure point
-        assert engine._element_order == 0
+        assert engine._sink.order == 0
         with pytest.raises(EngineError, match="aborted"):
             session.feed_events([])
         # abort is idempotent

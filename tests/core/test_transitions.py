@@ -50,7 +50,7 @@ class Driver:
     def text(self, content):
         event = Characters(position=self._position, text=content, level=self._level)
         self._position += 1
-        process_characters(self.machine, event.text, event.level, self.statistics)
+        process_characters(self.machine, event.text, event.level)
 
     def end(self):
         tag = self._open.pop()
